@@ -178,7 +178,7 @@ int Run() {
   std::printf(
       "\nNote: our widths follow the published architectures; parameter\n"
       "counts are the same order of magnitude but not identical to the\n"
-      "authors' exact configurations (see DESIGN.md substitutions).\n");
+      "authors' exact configurations.\n");
   if (!parity_ok) {
     std::printf("\nFAIL: at least one model's batched inference diverged "
                 "from its training forward (see lines above).\n");

@@ -45,50 +45,60 @@ struct ScanResult {
   }
 };
 
-/// Persisted stitch state of one streaming household: everything an
-/// incremental rescan needs to extend the household's result without
-/// re-feeding committed windows. Owned by serve::Session (or any caller
-/// driving AppendScan directly); BatchRunner only reads and extends it,
-/// so state created by one runner can be appended to by another — the
-/// per-window forward results it caches votes from are replica- and
+/// Stride-grid window votes of one series: the per-timestamp stitch
+/// accumulators every scan folds its grid windows into. Grid windows never
+/// move once committed (growing a series only appends offsets), so votes
+/// can persist across appends; BatchRunner only reads and extends them,
+/// and votes extended by one runner can be extended by another — the
+/// per-window forward results they cache are replica- and
 /// batch-composition-invariant.
 ///
-/// The accumulators hold STRIDE-GRID window votes only. Grid windows
-/// never move once committed (growing a series only appends offsets),
-/// while the end-aligned tail window — and the zero-padded window of a
-/// series still shorter than one window — depends on the current series
-/// end, so every append recomputes it into a transient overlay that is
-/// summed after the grid votes. That reproduces a from-scratch stitch's
+/// The end-aligned tail window — and the zero-padded window of a series
+/// still shorter than one window — depends on the current series end, so
+/// it never enters the votes: every scan recomputes it into a transient
+/// overlay summed after the grid votes. That is a from-scratch stitch's
 /// accumulation order (grid windows ascending, tail last) bit for bit,
 /// which is what makes incremental results bitwise-identical to a full
 /// rescan of the concatenated series.
-struct SessionScanState {
-  std::vector<float> series;      ///< committed aggregate readings (owned).
+struct ScanVotes {
   int64_t grid_windows = 0;       ///< grid windows already accumulated.
   std::vector<float> prob_sum;    ///< per-timestamp grid probability sum.
   std::vector<int32_t> cover;     ///< grid windows covering each timestamp.
   std::vector<int32_t> on_votes;  ///< grid ON votes per timestamp.
+};
+
+/// Persisted stitch state of one streaming household: its committed
+/// readings plus their grid votes — everything an incremental rescan
+/// needs to extend the household's result without re-feeding committed
+/// windows. Owned by serve::Session (or any caller driving AppendScan
+/// directly).
+struct SessionScanState {
+  std::vector<float> series;  ///< committed aggregate readings (owned).
+  ScanVotes votes;            ///< grid votes over `series`.
 
   /// Readings committed so far.
   int64_t readings() const { return static_cast<int64_t>(series.size()); }
 };
 
 /// End-to-end batched serving for one appliance: slices a household
-/// aggregate into overlapping windows (WindowStream), pushes them through
-/// the CamAL localization pipeline batch by batch via the inference-only
-/// forward path, and stitches per-window detections and activation masks
-/// back into per-timestamp series. Overlapping windows vote: detection is
-/// the mean window probability covering a timestamp, status the majority
-/// of window masks, and power the §IV-C estimate over the voted status
-/// (forced to 0 at missing readings, which have no observed aggregate).
+/// aggregate into overlapping windows (MultiWindowStream), pushes them
+/// through the CamAL localization pipeline batch by batch via the
+/// inference-only forward path, and stitches per-window detections and
+/// activation masks back into per-timestamp series. Overlapping windows
+/// vote: detection is the mean window probability covering a timestamp,
+/// status the majority of window masks, and power the §IV-C estimate over
+/// the voted status (forced to 0 at missing readings, which have no
+/// observed aggregate).
 ///
-/// The scan is two phases. Feed: windows stream through the model in
-/// shared GEMM batches (MultiWindowStream). Stitch: each window's votes
-/// accumulate into its own series' per-timestamp buffers, which finalize
-/// independently. Because per-window forward results do not depend on
-/// which other windows share a batch, ScanMany can coalesce windows from
-/// several series into one forward pass and still return, for every
-/// series, bitwise-identical results to a lone Scan of it.
+/// There is one stitch engine. A one-shot scan is an append of the whole
+/// series to empty votes: Scan/ScanMany pass borrowed views plus reused
+/// scratch votes, AppendScan/AppendScanMany a session's committed series
+/// plus its persisted votes. Either way the windows not yet voted — grid
+/// windows into the votes, the tail or pad window into a transient
+/// overlay — stream through shared GEMM batches, then each series
+/// finalizes on its own. Because per-window forward results do not depend
+/// on which other windows share a batch, coalesced scans return, for
+/// every series, bitwise-identical results to a lone Scan of it.
 class BatchRunner {
  public:
   /// \p ensemble is borrowed and must outlive the runner.
@@ -101,8 +111,8 @@ class BatchRunner {
   /// with zeros (the stream's missing-value fill) to a single window and
   /// scanned, so even short households get real predictions; empty series
   /// return all-zero results. Not thread-safe: a runner owns reusable scan
-  /// scratch, so concurrent scans need one runner each (see
-  /// ShardedScanner).
+  /// scratch, so concurrent scans need one runner each (serve::Service
+  /// gives every worker its own).
   ScanResult Scan(data::SeriesView aggregate_watts);
 
   /// Coalesced scan of several series through shared GEMM batches: one
@@ -145,42 +155,11 @@ class BatchRunner {
   const BatchRunnerOptions& options() const { return options_; }
 
  private:
-  /// Per-series stitch state of one scan (phase 2 accumulators).
-  struct SeriesState {
-    int64_t len = 0;  ///< original series length.
-    int64_t pad = 0;  ///< synthetic left-pad of a short series.
-    /// Left-padded copy of a short series; unused when len >= window.
-    std::vector<float> padded;
-    std::vector<float> prob_sum;     ///< per-timestamp probability sum.
-    std::vector<int32_t> cover;      ///< windows covering each timestamp.
-    std::vector<int32_t> on_votes;   ///< ON votes per timestamp.
-  };
-
-  /// Prepares states_[i] for \p series: result tensors, short-series pad,
-  /// zeroed vote buffers. Returns the view the feed phase should window
-  /// (over the padded copy for short series, over the caller's backing
-  /// otherwise), or an empty view when the series is empty and
-  /// contributes no windows.
-  data::SeriesView PrepareSeries(data::SeriesView series, SeriesState* state,
-                                 ScanResult* result);
-
-  /// Folds one localized batch into the owning series' vote buffers.
-  /// \p feed_to_state maps MultiWindowStream series indices to states_.
-  void StitchBatch(const core::LocalizationResult& loc,
-                   const std::vector<WindowRef>& refs, int64_t batch,
-                   const std::vector<int32_t>& feed_to_state,
-                   std::vector<ScanResult>* results);
-
-  /// Turns accumulated votes into the per-timestamp detection/status/power
-  /// series of \p result, dropping any synthetic pad.
-  void FinalizeSeries(data::SeriesView aggregate_watts,
-                      const SeriesState& state, ScanResult* result);
-
-  /// Transient accumulators for the end-dependent window of one append
-  /// (the tail or short-series pad window), kept out of the persisted
-  /// grid accumulators because the series end moves on every append.
+  /// Transient accumulators for the end-dependent window of one scan (the
+  /// tail or short-series pad window), kept out of the votes because the
+  /// series end moves on every append.
   struct OverlayState {
-    bool active = false;  ///< this append has a tail or pad window.
+    bool active = false;  ///< this scan has a tail or pad window.
     /// Series coordinate of overlay index 0; negative for a pad window
     /// (the synthetic zeros occupy [offset, 0)).
     int64_t offset = 0;
@@ -190,32 +169,33 @@ class BatchRunner {
     std::vector<int32_t> on_votes;
   };
 
-  /// Folds one localized batch of an append into the owning session's
-  /// persistent grid accumulators or its transient overlay.
-  void StitchAppendBatch(const core::LocalizationResult& loc,
-                         const std::vector<WindowRef>& refs, int64_t batch,
-                         const std::vector<SessionScanState*>& states,
-                         const std::vector<int32_t>& feed_state,
-                         const std::vector<uint8_t>& feed_overlay,
-                         std::vector<ScanResult>* results);
+  /// The scan engine behind every public entry point: extends votes[i]
+  /// to series[i], feeds exactly the windows it lacks — grid windows from
+  /// votes[i]->grid_windows upward plus the tail or pad window — through
+  /// shared batches, and finalizes each series (grid votes first, overlay
+  /// last). Views must stay valid for the call.
+  std::vector<ScanResult> RunScan(const std::vector<data::SeriesView>& series,
+                                  const std::vector<ScanVotes*>& votes);
 
-  /// Sums persistent grid votes and the overlay into \p result's
-  /// detection/status series (overlay last, like a from-scratch stitch).
-  void FinalizeAppend(const SessionScanState& state,
-                      const OverlayState& overlay, ScanResult* result);
+  /// Folds one localized batch into its owners' votes or overlays. Stream
+  /// entry 2i feeds series i's grid windows, 2i + 1 its overlay window.
+  void StitchBatch(const core::LocalizationResult& loc,
+                   const std::vector<WindowRef>& refs, int64_t batch,
+                   const std::vector<ScanVotes*>& votes,
+                   std::vector<ScanResult>* results);
 
-  /// §IV-C power estimation over \p result's stitched status — shared by
-  /// one-shot and incremental finalization so both force power to 0 at
-  /// missing readings the same way.
-  void FinalizePower(data::SeriesView aggregate_watts, ScanResult* result);
+  /// Sums \p votes and \p overlay into \p result's detection/status
+  /// series, then estimates power (§IV-C) over \p aggregate_watts.
+  void Finalize(data::SeriesView aggregate_watts, const ScanVotes& votes,
+                const OverlayState& overlay, ScanResult* result);
 
   core::CamalEnsemble* ensemble_;
   core::CamalLocalizer localizer_;
   BatchRunnerOptions options_;
   // Scan scratch reused across calls (one scan stitches hundreds of
   // batches; per-batch allocation churn showed up in serving profiles).
-  std::vector<SeriesState> states_;
-  std::vector<OverlayState> overlays_;  ///< append scratch, like states_.
+  std::vector<ScanVotes> scratch_votes_;  ///< one-shot scans' votes.
+  std::vector<OverlayState> overlays_;
   std::vector<WindowRef> batch_refs_;
   nn::Tensor batch_;
 };

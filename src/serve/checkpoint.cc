@@ -135,24 +135,25 @@ Status WriteSessionCheckpoint(const std::string& path,
       return Status::InvalidArgument("appliance name empty or too long");
     }
     const SessionScanState& state = snapshot.state;
+    const ScanVotes& votes = state.votes;
     AppendU32(&payload, static_cast<uint32_t>(snapshot.id.size()));
     AppendBytes(&payload, snapshot.id.data(), snapshot.id.size());
     AppendU32(&payload, static_cast<uint32_t>(snapshot.appliance.size()));
     AppendBytes(&payload, snapshot.appliance.data(),
                 snapshot.appliance.size());
     AppendI64(&payload, snapshot.max_pending_appends);
-    AppendI64(&payload, state.grid_windows);
+    AppendI64(&payload, votes.grid_windows);
     // Raw little-endian bytes of each accumulator: bit-exact round trip,
     // NaN payloads included — anything lossier would break the
     // bitwise-identity guarantee across a restart.
     AppendI64(&payload, static_cast<int64_t>(state.series.size()));
     AppendBytes(&payload, state.series.data(), state.series.size() * 4);
-    AppendI64(&payload, static_cast<int64_t>(state.prob_sum.size()));
-    AppendBytes(&payload, state.prob_sum.data(), state.prob_sum.size() * 4);
-    AppendI64(&payload, static_cast<int64_t>(state.cover.size()));
-    AppendBytes(&payload, state.cover.data(), state.cover.size() * 4);
-    AppendI64(&payload, static_cast<int64_t>(state.on_votes.size()));
-    AppendBytes(&payload, state.on_votes.data(), state.on_votes.size() * 4);
+    AppendI64(&payload, static_cast<int64_t>(votes.prob_sum.size()));
+    AppendBytes(&payload, votes.prob_sum.data(), votes.prob_sum.size() * 4);
+    AppendI64(&payload, static_cast<int64_t>(votes.cover.size()));
+    AppendBytes(&payload, votes.cover.data(), votes.cover.size() * 4);
+    AppendI64(&payload, static_cast<int64_t>(votes.on_votes.size()));
+    AppendBytes(&payload, votes.on_votes.data(), votes.on_votes.size() * 4);
   }
 
   Header header;
@@ -215,6 +216,7 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
   sessions.reserve(header.session_count);
   for (uint32_t i = 0; i < header.session_count; ++i) {
     SessionSnapshot snapshot;
+    ScanVotes& votes = snapshot.state.votes;
     uint32_t id_len = 0;
     CAMAL_RETURN_NOT_OK(reader.TakeU32(&id_len));
     CAMAL_RETURN_NOT_OK(reader.TakeString(id_len, &snapshot.id));
@@ -223,21 +225,20 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
     CAMAL_RETURN_NOT_OK(
         reader.TakeString(appliance_len, &snapshot.appliance));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&snapshot.max_pending_appends));
-    CAMAL_RETURN_NOT_OK(reader.TakeI64(&snapshot.state.grid_windows));
+    CAMAL_RETURN_NOT_OK(reader.TakeI64(&votes.grid_windows));
     int64_t count = 0;
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&count));
     CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &snapshot.state.series));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&count));
-    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &snapshot.state.prob_sum));
+    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &votes.prob_sum));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&count));
-    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &snapshot.state.cover));
+    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &votes.cover));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&count));
-    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &snapshot.state.on_votes));
+    CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &votes.on_votes));
     if (snapshot.id.empty() || snapshot.appliance.empty()) {
       return reader.Corrupt("empty session id or appliance");
     }
-    if (snapshot.max_pending_appends < 0 ||
-        snapshot.state.grid_windows < 0) {
+    if (snapshot.max_pending_appends < 0 || votes.grid_windows < 0) {
       return reader.Corrupt("negative count");
     }
     sessions.push_back(std::move(snapshot));

@@ -40,8 +40,8 @@ const char* RequestPriorityName(RequestPriority priority);
 ///  - `series`: BORROWED. A non-owning view; its backing storage (a
 ///    caller's vector, a mapped ColumnStore channel) must stay alive
 ///    until the request's future resolves. Right for batch clients that
-///    own a cohort for the whole call (ShardedScanner) and for serving
-///    straight off a mapped store with zero copies.
+///    own a cohort until every future resolves and for serving straight
+///    off a mapped store with zero copies.
 ///  - `owned_series`: OWNED. The request carries the buffer itself, so
 ///    the caller may return immediately — the fire-and-forget shape the
 ///    borrowed view would make a lifetime footgun. Session appends always
@@ -119,7 +119,7 @@ struct QueuedScan {
 class RequestQueue {
  public:
   /// \p capacity bounds the number of waiting tasks; <= 0 means unbounded
-  /// (used by batch clients like ShardedScanner that pre-size their work).
+  /// (for batch clients that pre-size their work).
   explicit RequestQueue(int64_t capacity);
 
   /// Moves \p *task into the queue. On failure (full or closed) \p *task

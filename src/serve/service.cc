@@ -14,7 +14,6 @@ namespace camal::serve {
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
-      coalesce_budget_(options_.coalesce_budget),
       queue_(options_.queue_capacity) {
   CAMAL_CHECK_GE(options_.workers, 0);
 }
@@ -108,11 +107,8 @@ void Service::WorkerLoop(Worker* worker) {
   ParallelBudgetScope budget(inner_budget_);
   QueuedScan first;
   std::vector<QueuedScan> extras;
-  // The coalescing budget re-reads per dequeue: it is runtime-adjustable
-  // (see set_coalesce_budget) and only shapes batching, never results.
-  while (queue_.PopGroup(
-      &first, &extras,
-      static_cast<int64_t>(coalesce_budget_.load()) - 1)) {
+  while (queue_.PopGroup(&first, &extras,
+                         static_cast<int64_t>(options_.coalesce_budget) - 1)) {
     BatchRunner* runner = worker->runners.at(first.request.appliance).get();
     ServeGroup(runner, &first, &extras);
     // Crash safety rides the worker loop like idle eviction rides

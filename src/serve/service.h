@@ -49,7 +49,7 @@ struct ServiceOptions {
   /// Admission-queue bound: a Submit that finds this many requests already
   /// waiting is rejected with kFailedPrecondition (backpressure). <= 0
   /// means unbounded — only sensible for batch clients that pre-size their
-  /// work, like ShardedScanner.
+  /// work, like a nightly scan submitting a whole cohort at once.
   int64_t queue_capacity = 256;
   /// Cross-request window coalescing: a worker that dequeues a request
   /// also drains up to coalesce_budget - 1 more waiting requests for the
@@ -324,15 +324,6 @@ class Service {
   /// (NumThreads() / workers, at least 1). Meaningful after Start.
   int inner_budget() const { return inner_budget_; }
 
-  /// The live cross-request coalescing budget (initially
-  /// options().coalesce_budget). Runtime-adjustable: set_coalesce_budget
-  /// takes effect at each worker's next dequeue — safe at any time from
-  /// any thread, because coalescing is a batching policy, not a results
-  /// policy (coalesced scans are bitwise-identical to lone scans).
-  /// <= 1 disables draining. ShardedScanner re-pins this per cohort.
-  int coalesce_budget() const { return coalesce_budget_.load(); }
-  void set_coalesce_budget(int budget) { coalesce_budget_.store(budget); }
-
   ServiceStats stats() const;
 
   const ServiceOptions& options() const { return options_; }
@@ -394,8 +385,6 @@ class Service {
   std::future<Result<ScanResult>> Reject(Status status);
 
   ServiceOptions options_;
-  /// Live coalescing budget; see coalesce_budget().
-  std::atomic<int> coalesce_budget_;
   /// Written under lifecycle_mu_ before Start publishes kRunning, frozen
   /// (read lock-free by Submit and the workers) after — a publish-then-
   /// freeze field, deliberately NOT CAMAL_GUARDED_BY: annotating it would

@@ -17,28 +17,6 @@ void CheckOptions(const WindowStreamOptions& options) {
   CAMAL_CHECK_GT(options.input_scale, 0.0f);
 }
 
-/// Copies the window at \p off into \p dst, zero-filling missing readings
-/// and dividing by the input scale — the one row-fill used by both the
-/// single- and multi-series streams, so a window's model input is
-/// bit-for-bit identical however it is batched.
-void FillWindowRow(const float* series, int64_t off, int64_t l,
-                   float inv_scale, float* dst) {
-  for (int64_t t = 0; t < l; ++t) {
-    const float v = series[off + t];
-    dst[t] = data::IsMissing(v) ? 0.0f : v * inv_scale;
-  }
-}
-
-/// Reuses the caller's tensor when its shape already matches (b, 1, l);
-/// otherwise swaps in fresh uninitialized storage (every element is
-/// written by the fill loops).
-void EnsureBatchShape(nn::Tensor* inputs, int64_t b, int64_t l) {
-  if (inputs->ndim() != 3 || inputs->dim(0) != b || inputs->dim(1) != 1 ||
-      inputs->dim(2) != l) {
-    *inputs = nn::Tensor::Uninitialized({b, 1, l});
-  }
-}
-
 }  // namespace
 
 std::vector<int64_t> ComputeWindowOffsets(
@@ -60,33 +38,6 @@ std::vector<int64_t> ComputeWindowOffsets(
     offsets.push_back(len - l);
   }
   return offsets;
-}
-
-WindowStream::WindowStream(data::SeriesView series,
-                           WindowStreamOptions options)
-    : series_(series), options_(options) {
-  CheckOptions(options_);
-  offsets_ = ComputeWindowOffsets(series_.size(), options_);
-}
-
-int64_t WindowStream::NextBatch(nn::Tensor* inputs,
-                                std::vector<int64_t>* batch_offsets) {
-  CAMAL_CHECK(inputs != nullptr);
-  CAMAL_CHECK(batch_offsets != nullptr);
-  batch_offsets->clear();
-  const int64_t remaining = NumWindows() - static_cast<int64_t>(next_);
-  const int64_t b = std::min<int64_t>(options_.batch_size, remaining);
-  if (b <= 0) return 0;
-  const int64_t l = options_.window_length;
-  EnsureBatchShape(inputs, b, l);
-  const float inv_scale = 1.0f / options_.input_scale;
-  const float* series = series_.data();
-  for (int64_t i = 0; i < b; ++i) {
-    const int64_t off = offsets_[next_++];
-    batch_offsets->push_back(off);
-    FillWindowRow(series, off, l, inv_scale, inputs->data() + i * l);
-  }
-  return b;
 }
 
 MultiWindowStream::MultiWindowStream(std::vector<data::SeriesView> series,
@@ -130,13 +81,24 @@ int64_t MultiWindowStream::NextBatch(nn::Tensor* inputs,
   const int64_t b = std::min<int64_t>(options_.batch_size, remaining);
   if (b <= 0) return 0;
   const int64_t l = options_.window_length;
-  EnsureBatchShape(inputs, b, l);
+  // Reuse the caller's tensor when its shape already matches; otherwise
+  // swap in uninitialized storage (every element is written below).
+  if (inputs->ndim() != 3 || inputs->dim(0) != b || inputs->dim(1) != 1 ||
+      inputs->dim(2) != l) {
+    *inputs = nn::Tensor::Uninitialized({b, 1, l});
+  }
   const float inv_scale = 1.0f / options_.input_scale;
   for (int64_t i = 0; i < b; ++i) {
     const WindowRef ref = refs_[next_++];
     refs->push_back(ref);
-    FillWindowRow(series_[static_cast<size_t>(ref.series)].data(), ref.offset,
-                  l, inv_scale, inputs->data() + i * l);
+    // The one row fill of both constructors: missing readings zero-filled,
+    // the rest divided by the input scale.
+    const float* src = series_[static_cast<size_t>(ref.series)].data();
+    float* dst = inputs->data() + i * l;
+    for (int64_t t = 0; t < l; ++t) {
+      const float v = src[ref.offset + t];
+      dst[t] = data::IsMissing(v) ? 0.0f : v * inv_scale;
+    }
   }
   return b;
 }

@@ -121,14 +121,14 @@ serve::SessionSnapshot MakeSnapshot(const std::string& id, uint64_t seed,
   snapshot.id = id;
   snapshot.appliance = "fridge";
   snapshot.max_pending_appends = 16;
-  snapshot.state.grid_windows = readings / 4;
+  snapshot.state.votes.grid_windows = readings / 4;
   for (int64_t i = 0; i < readings; ++i) {
     snapshot.state.series.push_back(
         static_cast<float>(rng.Uniform(0.0, 3000.0)));
-    snapshot.state.prob_sum.push_back(
+    snapshot.state.votes.prob_sum.push_back(
         static_cast<float>(rng.Uniform(0.0, 8.0)));
-    snapshot.state.cover.push_back(static_cast<int32_t>(i % 7));
-    snapshot.state.on_votes.push_back(static_cast<int32_t>(i % 3));
+    snapshot.state.votes.cover.push_back(static_cast<int32_t>(i % 7));
+    snapshot.state.votes.on_votes.push_back(static_cast<int32_t>(i % 3));
   }
   return snapshot;
 }
@@ -138,11 +138,11 @@ void ExpectSnapshotEqual(const serve::SessionSnapshot& got,
   EXPECT_EQ(got.id, want.id);
   EXPECT_EQ(got.appliance, want.appliance);
   EXPECT_EQ(got.max_pending_appends, want.max_pending_appends);
-  EXPECT_EQ(got.state.grid_windows, want.state.grid_windows);
+  EXPECT_EQ(got.state.votes.grid_windows, want.state.votes.grid_windows);
   EXPECT_EQ(got.state.series, want.state.series);
-  EXPECT_EQ(got.state.prob_sum, want.state.prob_sum);
-  EXPECT_EQ(got.state.cover, want.state.cover);
-  EXPECT_EQ(got.state.on_votes, want.state.on_votes);
+  EXPECT_EQ(got.state.votes.prob_sum, want.state.votes.prob_sum);
+  EXPECT_EQ(got.state.votes.cover, want.state.votes.cover);
+  EXPECT_EQ(got.state.votes.on_votes, want.state.votes.on_votes);
 }
 
 TEST(CheckpointFormatTest, RoundTripsSessionsBitwise) {
@@ -169,6 +169,52 @@ TEST(CheckpointFormatTest, ZeroSessionsIsAValidSnapshot) {
   EXPECT_TRUE(restored.value().empty());
   EXPECT_EQ(std::filesystem::file_size(path),
             serve::SessionCheckpointFormat::kHeaderBytes);
+}
+
+std::string HexOf(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xF]);
+  }
+  return hex;
+}
+
+TEST(CheckpointFormatTest, GoldenBytesPinTheOnDiskLayout) {
+  // A fixed snapshot must serialize to exactly these bytes: header, then
+  // id, appliance, max_pending_appends, grid_windows and the four
+  // accumulators in checkpoint.h's order. Any change to the field order,
+  // widths or the header — without a version bump — fails here.
+  serve::SessionSnapshot snapshot;
+  snapshot.id = "h1";
+  snapshot.appliance = "kettle";
+  snapshot.max_pending_appends = 3;
+  snapshot.state.votes.grid_windows = 2;
+  snapshot.state.series = {1.5f, -2.0f, 1000.0f};
+  snapshot.state.votes.prob_sum = {0.25f, 0.5f, 0.75f};
+  snapshot.state.votes.cover = {1, 2, 1};
+  snapshot.state.votes.on_votes = {0, 1, 1};
+  const std::string path = TestPath("golden.ckpt");
+  ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {snapshot}).ok());
+  const std::string golden =
+      // header: "CKPT", version 1, 1 session, payload CRC, 112 bytes,
+      // 24 reserved zero bytes
+      "434b50540100000001000000735bd91e70000000000000000000000000000000"
+      "00000000000000000000000000000000"
+      "020000006831"                               // id "h1"
+      "060000006b6574746c65"                       // appliance "kettle"
+      "0300000000000000"                           // max_pending_appends
+      "0200000000000000"                           // grid_windows
+      "03000000000000000000c03f000000c000007a44"   // series
+      "03000000000000000000803e0000003f0000403f"   // prob_sum
+      "0300000000000000010000000200000001000000"   // cover
+      "0300000000000000000000000100000001000000";  // on_votes
+  EXPECT_EQ(HexOf(ReadRawBytes(path)), golden);
+  auto restored = serve::ReadSessionCheckpoint(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored.value().size(), 1u);
+  ExpectSnapshotEqual(restored.value()[0], snapshot);
 }
 
 TEST(CheckpointFormatTest, MissingFileIsAStatusNotACrash) {
