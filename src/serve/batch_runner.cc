@@ -211,50 +211,44 @@ void BatchRunner::Finalize(data::SeriesView aggregate_watts,
   }
 }
 
-std::vector<ScanResult> BatchRunner::ScanMany(
-    const std::vector<data::SeriesView>& series) {
-  // A one-shot scan is an append of the whole series to empty votes. The
-  // votes are runner scratch (cleared, capacity kept), and the views go
-  // straight to the stream, so no caller series is copied.
-  scratch_votes_.resize(std::max(scratch_votes_.size(), series.size()));
-  std::vector<ScanVotes*> votes(series.size());
-  for (size_t i = 0; i < series.size(); ++i) {
-    ScanVotes& v = scratch_votes_[i];
-    v.grid_windows = 0;
-    v.prob_sum.clear();
-    v.cover.clear();
-    v.on_votes.clear();
-    votes[i] = &v;
+std::vector<ScanResult> BatchRunner::ScanGroup(
+    const std::vector<ScanJob>& jobs) {
+  // A one-shot job is an append of the whole series to empty votes. Its
+  // votes are runner scratch (cleared, capacity kept) and its view goes
+  // straight to the stream, so no caller series is copied. An append job
+  // commits its delta into the session's series and extends the
+  // session's persisted votes.
+  scratch_votes_.resize(std::max(scratch_votes_.size(), jobs.size()));
+  std::vector<data::SeriesView> series(jobs.size());
+  std::vector<ScanVotes*> votes(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    SessionScanState* state = jobs[i].session;
+    if (state == nullptr) {
+      ScanVotes& v = scratch_votes_[i];
+      v.grid_windows = 0;
+      v.prob_sum.clear();
+      v.cover.clear();
+      v.on_votes.clear();
+      series[i] = jobs[i].readings;
+      votes[i] = &v;
+    } else {
+      state->series.insert(state->series.end(), jobs[i].readings.begin(),
+                           jobs[i].readings.end());
+      series[i] = data::SeriesView(state->series);
+      votes[i] = &state->votes;
+    }
   }
   return RunScan(series, votes);
 }
 
-std::vector<ScanResult> BatchRunner::AppendScanMany(
-    const std::vector<SessionScanState*>& states,
-    const std::vector<data::SeriesView>& deltas) {
-  CAMAL_CHECK_EQ(states.size(), deltas.size());
-  std::vector<data::SeriesView> series(states.size());
-  std::vector<ScanVotes*> votes(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    SessionScanState* state = states[i];
-    CAMAL_CHECK(state != nullptr);
-    state->series.insert(state->series.end(), deltas[i].begin(),
-                         deltas[i].end());
-    series[i] = data::SeriesView(state->series);
-    votes[i] = &state->votes;
-  }
-  return RunScan(series, votes);
+ScanResult BatchRunner::Scan(data::SeriesView aggregate_watts) {
+  return std::move(ScanGroup({ScanJob{aggregate_watts, nullptr}}).front());
 }
 
 ScanResult BatchRunner::AppendScan(SessionScanState* state,
                                    data::SeriesView delta) {
-  std::vector<ScanResult> results = AppendScanMany({state}, {delta});
-  return std::move(results.front());
-}
-
-ScanResult BatchRunner::Scan(data::SeriesView aggregate_watts) {
-  std::vector<ScanResult> results = ScanMany({aggregate_watts});
-  return std::move(results.front());
+  CAMAL_CHECK(state != nullptr);
+  return std::move(ScanGroup({ScanJob{delta, state}}).front());
 }
 
 }  // namespace camal::serve

@@ -30,9 +30,9 @@ struct ScanResult {
   /// gap windows_full - windows is the feed work the persisted stitch
   /// state saved.
   int64_t windows_full = 0;
-  /// Wall-clock inference time of the scan. For a series served inside a
-  /// coalesced ScanMany group this is the shared pass's time (the group
-  /// was inferred together, so its members are not separable).
+  /// Wall-clock inference time of the scan. For a job served inside a
+  /// coalesced ScanGroup this is the shared pass's time (the group was
+  /// inferred together, so its members are not separable).
   double seconds = 0.0;
   /// End-to-end request latency when served through serve::Service:
   /// admission-queue wait plus the scan itself. 0 for direct
@@ -80,6 +80,14 @@ struct SessionScanState {
   int64_t readings() const { return static_cast<int64_t>(series.size()); }
 };
 
+/// One job of a coalesced BatchRunner::ScanGroup: a one-shot scan of
+/// `readings` when `session` is null, otherwise an incremental append of
+/// `readings` (the delta) to that session's persisted state.
+struct ScanJob {
+  data::SeriesView readings;
+  SessionScanState* session = nullptr;
+};
+
 /// End-to-end batched serving for one appliance: slices a household
 /// aggregate into overlapping windows (MultiWindowStream), pushes them
 /// through the CamAL localization pipeline batch by batch via the
@@ -90,15 +98,16 @@ struct SessionScanState {
 /// the voted status (forced to 0 at missing readings, which have no
 /// observed aggregate).
 ///
-/// There is one stitch engine. A one-shot scan is an append of the whole
-/// series to empty votes: Scan/ScanMany pass borrowed views plus reused
-/// scratch votes, AppendScan/AppendScanMany a session's committed series
-/// plus its persisted votes. Either way the windows not yet voted — grid
-/// windows into the votes, the tail or pad window into a transient
-/// overlay — stream through shared GEMM batches, then each series
-/// finalizes on its own. Because per-window forward results do not depend
-/// on which other windows share a batch, coalesced scans return, for
-/// every series, bitwise-identical results to a lone Scan of it.
+/// There is one stitch engine and one coalesced entry point, ScanGroup;
+/// Scan and AppendScan are one-job groups. A one-shot scan is an append
+/// of the whole series to empty votes: a one-shot job passes its borrowed
+/// view plus reused scratch votes, an append job its session's committed
+/// series plus the session's persisted votes. Either way the windows not
+/// yet voted — grid windows into the votes, the tail or pad window into a
+/// transient overlay — stream through shared GEMM batches, then each
+/// series finalizes on its own. Because per-window forward results do not
+/// depend on which other windows share a batch, every job of a coalesced
+/// group gets results bitwise-identical to a lone scan of it.
 class BatchRunner {
  public:
   /// \p ensemble is borrowed and must outlive the runner.
@@ -115,14 +124,6 @@ class BatchRunner {
   /// gives every worker its own).
   ScanResult Scan(data::SeriesView aggregate_watts);
 
-  /// Coalesced scan of several series through shared GEMM batches: one
-  /// feed phase carries every series' windows (batches fill across series
-  /// boundaries, so small households no longer mean underfilled batches),
-  /// then each series stitches and finalizes on its own. results[i] is
-  /// bitwise-identical to Scan(series[i]); entries may repeat or be
-  /// empty. Not thread-safe, like Scan.
-  std::vector<ScanResult> ScanMany(const std::vector<data::SeriesView>& series);
-
   /// Incremental rescan: appends \p delta to \p state's committed series
   /// and feeds ONLY the windows the new tail touches — grid windows not
   /// yet committed plus the end-aligned tail (or short-series pad) window
@@ -135,16 +136,17 @@ class BatchRunner {
   /// state are the caller's bug (serve::Service serializes per session).
   ScanResult AppendScan(SessionScanState* state, data::SeriesView delta);
 
-  /// Coalesced incremental rescan of several sessions: one feed phase
-  /// carries every session's new windows, so distinct households' appends
-  /// share GEMM batches exactly like ScanMany coalesces one-shot scans.
-  /// states[i] / deltas[i] pair up; states must not be null and must be
-  /// distinct, and no delta may view its own state's committed series.
-  /// results[i] is bitwise-identical to Scan(states[i]->series) after its
-  /// append. Not thread-safe.
-  std::vector<ScanResult> AppendScanMany(
-      const std::vector<SessionScanState*>& states,
-      const std::vector<data::SeriesView>& deltas);
+  /// Coalesced scan of a group of jobs — one-shot scans and session
+  /// appends alike — through shared GEMM batches: one feed phase carries
+  /// every job's windows (batches fill across job boundaries, so small
+  /// households and tail-sized appends no longer mean underfilled
+  /// batches), then each job stitches and finalizes on its own.
+  /// results[i] is bitwise-identical to a lone Scan(jobs[i].readings) or
+  /// AppendScan(jobs[i].session, jobs[i].readings). One-shot jobs may
+  /// repeat or be empty; append jobs must name distinct sessions, and no
+  /// job's readings may view a session series the group appends to (it
+  /// may reallocate). Not thread-safe, like Scan.
+  std::vector<ScanResult> ScanGroup(const std::vector<ScanJob>& jobs);
 
   /// Validates scan options without constructing a runner — the Status
   /// mirror of the constructor's programmer-error CHECKs, for callers

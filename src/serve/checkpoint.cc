@@ -212,8 +212,9 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
 
   PayloadReader reader(file.data() + header_bytes, header.payload_bytes,
                        path);
+  // No reserve(session_count): the count is outside the CRC, so a forged
+  // header could demand gigabytes before the first record fails to parse.
   std::vector<SessionSnapshot> sessions;
-  sessions.reserve(header.session_count);
   for (uint32_t i = 0; i < header.session_count; ++i) {
     SessionSnapshot snapshot;
     ScanVotes& votes = snapshot.state.votes;

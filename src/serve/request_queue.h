@@ -92,8 +92,8 @@ inline data::SeriesView RequestSeries(const ScanRequest& request) {
 struct QueuedScan {
   ScanRequest request;
   /// Non-null: this task is a session append (request.owned_series holds
-  /// the delta) and the worker routes it through AppendScanMany against
-  /// the session's persisted stitch state.
+  /// the delta) and the worker's ScanGroup job appends it to the
+  /// session's persisted stitch state.
   std::shared_ptr<Session> session;
   std::promise<Result<ScanResult>> promise;
   std::chrono::steady_clock::time_point admitted;
@@ -113,9 +113,9 @@ struct QueuedScan {
 /// Push never blocks — when the queue is at capacity (backpressure) or
 /// closed, it returns kFailedPrecondition and leaves the caller's task
 /// untouched, so the caller still owns the promise and can fail it.
-/// Pop blocks until a task arrives or the queue is closed *and* drained:
-/// Close stops admission immediately but lets consumers finish every task
-/// admitted before it (graceful shutdown).
+/// PopGroup blocks until a task arrives or the queue is closed *and*
+/// drained: Close stops admission immediately but lets consumers finish
+/// every task admitted before it (graceful shutdown).
 class RequestQueue {
  public:
   /// \p capacity bounds the number of waiting tasks; <= 0 means unbounded
@@ -135,16 +135,12 @@ class RequestQueue {
   Status Push(QueuedScan* task, bool* rejected_full = nullptr,
               bool force = false);
 
-  /// Blocks until a task is available (returns true) or the queue is
-  /// closed and fully drained (returns false). The task taken is the
-  /// earliest-admitted one of the most urgent RequestPriority present
-  /// (FIFO within a class; all-kNormal traffic behaves exactly like the
-  /// plain FIFO this used to be).
-  bool Pop(QueuedScan* out);
-
   /// Batch pop with appliance affinity, the queue side of cross-request
-  /// window coalescing: blocks for the head task like Pop (same priority-
-  /// aware head selection), then — without blocking — drains more waiting
+  /// window coalescing: blocks until a task is available or the queue is
+  /// closed and fully drained (returns false). The head task taken is the
+  /// earliest-admitted one of the most urgent RequestPriority present
+  /// (FIFO within a class; all-kNormal traffic behaves exactly like a
+  /// plain FIFO). Then — without blocking — it drains more waiting
   /// tasks for the SAME appliance AND SAME priority into \p extras
   /// (cleared first), skipping over everything else, whose relative order
   /// is preserved. Drained tasks come out in admission order. Grouping
@@ -153,12 +149,11 @@ class RequestQueue {
   ///
   /// The drain budget is adaptive (ROADMAP adaptive-coalescing step 2),
   /// never more than \p extra_budget: with idle sibling consumers blocked
-  /// in Pop/PopGroup, a fixed budget would batch work one request deep
+  /// in PopGroup, a fixed budget would batch work one request deep
   /// while a whole worker sat idle, so the drain leaves at least one task
   /// behind per waiting consumer — see AdaptiveDrainBudget. Purely a
   /// batching policy: results are bitwise-identical whichever worker or
-  /// group serves a request. extra_budget <= 0 makes this exactly Pop.
-  /// Returns false only when closed and fully drained.
+  /// group serves a request. extra_budget <= 0 pops the head task alone.
   bool PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
                 int64_t extra_budget);
 
@@ -177,12 +172,12 @@ class RequestQueue {
   int64_t capacity() const { return capacity_; }
   bool closed() const;
 
-  /// Consumers currently blocked inside Pop/PopGroup waiting for work —
+  /// Consumers currently blocked inside PopGroup waiting for work —
   /// the idle-worker signal the adaptive drain budget is gated on.
   int64_t waiting_consumers() const;
 
  private:
-  /// Index of the task Pop/PopGroup takes: earliest of the most urgent
+  /// Index of the head task PopGroup takes: earliest of the most urgent
   /// priority class present. Caller holds mu_; tasks_ must be non-empty.
   size_t HeadIndexLocked() const CAMAL_REQUIRES(mu_);
 
@@ -191,7 +186,7 @@ class RequestQueue {
   CondVar cv_;
   std::deque<QueuedScan> tasks_ CAMAL_GUARDED_BY(mu_);
   bool closed_ CAMAL_GUARDED_BY(mu_) = false;
-  /// Consumers blocked in Pop/PopGroup.
+  /// Consumers blocked in PopGroup.
   int64_t waiting_ CAMAL_GUARDED_BY(mu_) = 0;
 };
 

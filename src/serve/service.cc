@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <thread>
@@ -11,6 +12,29 @@
 #include "serve/checkpoint.h"
 
 namespace camal::serve {
+namespace {
+
+/// \p seconds as a steady_clock duration, or kInvalidArgument naming
+/// \p what. A plain duration_cast of a non-finite or out-of-range double
+/// is undefined: +inf and huge values wrap to a duration in the past, and
+/// NaN reads as zero. Finite magnitudes below half the clock's range are
+/// accepted, so adding the result to any time point in the clock's first
+/// half (about 146 years past its epoch, which steady_clock puts near
+/// boot) cannot overflow either.
+Result<std::chrono::steady_clock::duration> SecondsToDuration(
+    double seconds, const std::string& what) {
+  using Duration = std::chrono::steady_clock::duration;
+  const double limit =
+      std::chrono::duration<double>(Duration::max()).count() / 2.0;
+  if (!std::isfinite(seconds) || std::abs(seconds) >= limit) {
+    return Status::InvalidArgument(what + " must be finite and below " +
+                                   std::to_string(limit) + " seconds");
+  }
+  return std::chrono::duration_cast<Duration>(
+      std::chrono::duration<double>(seconds));
+}
+
+}  // namespace
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
@@ -58,6 +82,10 @@ Status Service::Start() {
     return Status::FailedPrecondition(
         "at least one appliance must be registered before Start");
   }
+  CAMAL_ASSIGN_OR_RETURN(
+      checkpoint_interval_,
+      SecondsToDuration(options_.checkpoint_interval_seconds,
+                        "checkpoint_interval_seconds"));
   const int workers =
       options_.workers > 0 ? options_.workers : NumThreads();
   // Same budget split as PlanOuterShards: whatever the worker fan-out does
@@ -111,9 +139,9 @@ void Service::WorkerLoop(Worker* worker) {
                          static_cast<int64_t>(options_.coalesce_budget) - 1)) {
     BatchRunner* runner = worker->runners.at(first.request.appliance).get();
     ServeGroup(runner, &first, &extras);
-    // Crash safety rides the worker loop like idle eviction rides
-    // CreateSession: no background thread, just an opportunistic sweep
-    // between groups, CAS-claimed so one worker writes per interval.
+    // Crash safety rides the worker loop: no background thread, just an
+    // opportunistic sweep between groups, CAS-claimed so one worker
+    // writes per interval.
     MaybeCheckpoint();
   }
 }
@@ -121,11 +149,9 @@ void Service::WorkerLoop(Worker* worker) {
 void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
                          std::vector<QueuedScan>* extras) {
   // The group: head task plus the same-appliance extras PopGroup drained,
-  // in admission order. Split it by kind — one-shot scans run one
-  // coalesced ScanMany pass, session appends one coalesced AppendScanMany
-  // pass, so distinct households' appends share GEMM batches with each
-  // other (two appends of ONE session can't meet here: the session
-  // serializer admits one at a time).
+  // in admission order — one-shot scans and session appends alike (two
+  // appends of ONE session can't meet here: the session serializer admits
+  // one at a time).
   std::vector<QueuedScan*> tasks;
   tasks.reserve(1 + extras->size());
   tasks.push_back(first);
@@ -155,18 +181,11 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
   if (live.empty()) return;
   tasks.swap(live);
 
-  std::vector<QueuedScan*> scans;
-  std::vector<QueuedScan*> appends;
-  for (QueuedScan* task : tasks) {
-    (task->session != nullptr ? appends : scans).push_back(task);
-  }
-
   // Scan inside try; fulfill promises outside, so each promise is resolved
   // exactly once whatever happens. Before this guard a throwing scan left
   // every promise of the group unfulfilled — the submitters blocked
   // forever on their futures — and unwound the worker thread for good.
-  std::vector<ScanResult> scan_results;
-  std::vector<ScanResult> append_results;
+  std::vector<ScanResult> results;
   Status failure = Status::OK();
   try {
     if (options_.fault_injector != nullptr) {
@@ -174,27 +193,16 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
         options_.fault_injector->OnScan(task->request.household_id);
       }
     }
-    if (!scans.empty()) {
-      std::vector<data::SeriesView> series;
-      series.reserve(scans.size());
-      for (const QueuedScan* task : scans) {
-        series.push_back(RequestSeries(task->request));
-      }
-      // One shared feed phase for the whole group; per-request stitches
-      // stay independent, so results match per-request scans bitwise.
-      scan_results = runner->ScanMany(series);
+    // One shared feed phase for the whole group; per-job stitches stay
+    // independent, so results match per-request scans bitwise.
+    std::vector<ScanJob> jobs;
+    jobs.reserve(tasks.size());
+    for (const QueuedScan* task : tasks) {
+      SessionScanState* state =
+          task->session != nullptr ? &task->session->scan_state_ : nullptr;
+      jobs.push_back(ScanJob{RequestSeries(task->request), state});
     }
-    if (!appends.empty()) {
-      std::vector<SessionScanState*> states;
-      std::vector<data::SeriesView> deltas;
-      states.reserve(appends.size());
-      deltas.reserve(appends.size());
-      for (QueuedScan* task : appends) {
-        states.push_back(&task->session->scan_state_);
-        deltas.push_back(RequestSeries(task->request));
-      }
-      append_results = runner->AppendScanMany(states, deltas);
-    }
+    results = runner->ScanGroup(jobs);
     if (tasks.size() > 1) {
       coalesced_groups_.fetch_add(1, std::memory_order_relaxed);
       coalesced_requests_.fetch_add(static_cast<int64_t>(tasks.size()),
@@ -207,25 +215,24 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
   }
 
   if (!failure.ok()) {
-    // Appends never retry: the throwing scan may have half-updated their
-    // sessions' stitch state, so a rerun could serve corrupt results.
-    // Fail them and close the sessions (graceful degradation — the
-    // caller re-creates or restores the stream).
-    failed_.fetch_add(static_cast<int64_t>(appends.size()),
-                      std::memory_order_relaxed);
-    for (QueuedScan* task : appends) {
-      // Close the session BEFORE the promise resolves (mirroring the
-      // success path): a caller that wakes on the failed future must
-      // already see the session closed.
-      FailSession(task->session, failure);
-      task->promise.set_value(Result<ScanResult>(failure));
-    }
-    // One-shot scans: a transient kInternal fault is retried within
-    // RetryPolicy — re-enqueued at original priority with its original
-    // admission time and deadline (an expired one is shed like any
-    // other; the deadline is still honored across retries).
     std::vector<QueuedScan*> retriable;
-    for (QueuedScan* task : scans) {
+    for (QueuedScan* task : tasks) {
+      if (task->session != nullptr) {
+        // Appends never retry: the throwing scan may have half-updated
+        // their sessions' stitch state, so a rerun could serve corrupt
+        // results. Fail them and close the sessions (graceful degradation
+        // — the caller re-creates or restores the stream), closing BEFORE
+        // the promise resolves (mirroring the success path): a caller
+        // that wakes on the failed future must already see it closed.
+        failed_.fetch_add(1, std::memory_order_relaxed);
+        FailSession(task->session, failure);
+        task->promise.set_value(Result<ScanResult>(failure));
+        continue;
+      }
+      // One-shot scans: a transient kInternal fault is retried within
+      // RetryPolicy — re-enqueued at original priority with its original
+      // admission time and deadline (an expired one is shed like any
+      // other; the deadline is still honored across retries).
       ++task->attempts;
       if (task->attempts < options_.retry.max_attempts) {
         retriable.push_back(task);
@@ -271,32 +278,28 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
     return;
   }
   const auto now = std::chrono::steady_clock::now();
-  const auto fulfill = [&](QueuedScan* task, ScanResult result) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    QueuedScan* task = tasks[i];
+    ScanResult& result = results[i];
+    if (task->session != nullptr) {
+      session_appends_.fetch_add(1, std::memory_order_relaxed);
+      appended_readings_.fetch_add(RequestSeries(task->request).size(),
+                                   std::memory_order_relaxed);
+      windows_saved_.fetch_add(result.windows_full - result.windows,
+                               std::memory_order_relaxed);
+      // Commit the session (readings gauge, next parked append) BEFORE
+      // the promise resolves: a caller that wakes on the future must see
+      // session->readings() reflect this append. The task dies with the
+      // group, so pin the session first.
+      std::shared_ptr<Session> session = std::move(task->session);
+      FinishAppend(session);
+    }
     result.latency_seconds =
         std::chrono::duration<double>(now - task->admitted).count();
     completed_.fetch_add(1, std::memory_order_relaxed);
     completed_by_priority_[static_cast<size_t>(task->request.priority)]
         .fetch_add(1, std::memory_order_relaxed);
     task->promise.set_value(std::move(result));
-  };
-  for (size_t i = 0; i < scans.size(); ++i) {
-    fulfill(scans[i], std::move(scan_results[i]));
-  }
-  for (size_t i = 0; i < appends.size(); ++i) {
-    QueuedScan* task = appends[i];
-    session_appends_.fetch_add(1, std::memory_order_relaxed);
-    appended_readings_.fetch_add(RequestSeries(task->request).size(),
-                                 std::memory_order_relaxed);
-    windows_saved_.fetch_add(
-        append_results[i].windows_full - append_results[i].windows,
-        std::memory_order_relaxed);
-    // Commit the session (readings gauge, next parked append) BEFORE the
-    // promise resolves: a caller that wakes on the future must see
-    // session->readings() reflect this append. The task dies with the
-    // group, so pin the session first.
-    std::shared_ptr<Session> session = std::move(task->session);
-    FinishAppend(session);
-    fulfill(task, std::move(append_results[i]));
   }
 }
 
@@ -337,6 +340,9 @@ std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
     return Reject(
         Status::InvalidArgument("request deadline_seconds must be >= 0"));
   }
+  Result<std::chrono::steady_clock::duration> deadline =
+      SecondsToDuration(request.deadline_seconds, "request deadline_seconds");
+  if (!deadline.ok()) return Reject(deadline.status());
 
   QueuedScan task;
   task.request = std::move(request);
@@ -344,10 +350,7 @@ std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
   if (task.request.deadline_seconds > 0.0) {
     // Stamp the absolute expiry once, here: workers compare against it
     // without re-deriving from the (relative) request field.
-    task.deadline =
-        task.admitted +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(task.request.deadline_seconds));
+    task.deadline = task.admitted + deadline.value();
   }
   std::future<Result<ScanResult>> future = task.promise.get_future();
   bool rejected_full = false;
@@ -389,11 +392,6 @@ Result<std::shared_ptr<Session>> Service::CreateSession(
   }
   if (options.max_pending_appends < 0) {
     return Status::InvalidArgument("max_pending_appends must be >= 0");
-  }
-  // Opportunistic sweep: a fleet that only ever opens sessions still
-  // reclaims the ones whose households went silent.
-  if (options_.session_idle_seconds > 0.0) {
-    EvictIdleSessions(options_.session_idle_seconds);
   }
   std::string id =
       options.household_id.empty()
@@ -658,13 +656,8 @@ void Service::MaybeCheckpoint() {
   }
   const int64_t now =
       std::chrono::steady_clock::now().time_since_epoch().count();
-  const int64_t interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.checkpoint_interval_seconds))
-          .count();
   int64_t last = last_checkpoint_ticks_.load(std::memory_order_relaxed);
-  if (now - last < interval) return;
+  if (now - last < checkpoint_interval_.count()) return;
   // CAS claims the sweep: the losing workers see the fresh timestamp and
   // go back to serving.
   if (!last_checkpoint_ticks_.compare_exchange_strong(
@@ -706,7 +699,7 @@ void Service::Shutdown() {
   }
   state_.store(State::kStopped);
   // Closing the queue wakes every worker; they drain the admitted backlog
-  // first (Pop only returns false once closed AND empty), then exit.
+  // first (PopGroup only returns false once closed AND empty), then exit.
   queue_.Close();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,8 +54,9 @@ struct ServiceOptions {
   int64_t queue_capacity = 256;
   /// Cross-request window coalescing: a worker that dequeues a request
   /// also drains up to coalesce_budget - 1 more waiting requests for the
-  /// same appliance and serves the whole group through one shared-GEMM
-  /// scan (BatchRunner::ScanMany), stitching and fulfilling each request's
+  /// same appliance — one-shot scans and session appends alike — and
+  /// serves the whole group through one shared-GEMM scan
+  /// (BatchRunner::ScanGroup), stitching and fulfilling each request's
   /// future independently. Results are bitwise-identical to uncoalesced
   /// scans; what changes is batch occupancy — a deep queue of small
   /// households fills GEMM batches that per-request scans would run nearly
@@ -62,12 +64,6 @@ struct ServiceOptions {
   /// drained request rides its group instead of a possibly idle other
   /// worker, so latency-critical shallow-queue deployments may prefer 1.
   int coalesce_budget = 8;
-  /// Streaming sessions idle at least this long — no append queued,
-  /// parked, or running since — become eligible for eviction, swept
-  /// opportunistically on each CreateSession (no background thread to
-  /// configure or leak). <= 0 disables the sweep; EvictIdleSessions
-  /// evicts on demand either way.
-  double session_idle_seconds = 0.0;
   /// Structured fault-injection seam (replaces the old bare
   /// pre_scan_hook): borrowed, must outlive the service. Each worker
   /// calls FaultInjector::OnScan(request.household_id) immediately
@@ -86,8 +82,9 @@ struct ServiceOptions {
   /// With a directory set, Shutdown flushes a final checkpoint, and —
   /// when checkpoint_interval_seconds > 0 — workers sweep one
   /// opportunistically after serving, at most once per interval (no
-  /// background thread to configure or leak, like the idle-session
-  /// sweep). Restore is explicit: call RestoreSessions after Start.
+  /// background thread to configure or leak). Start rejects a
+  /// non-finite or out-of-range interval with kInvalidArgument. Restore
+  /// is explicit: call RestoreSessions after Start.
   std::string checkpoint_dir;
   double checkpoint_interval_seconds = 0.0;
 };
@@ -169,11 +166,11 @@ struct ServiceStats {
 ///
 /// Error contract: malformed requests never abort the process. Submit
 /// resolves the returned future immediately with kInvalidArgument (empty
-/// appliance name, no series set, negative deadline), kNotFound
-/// (unregistered appliance), or kFailedPrecondition (not started, shut
-/// down, or queue full). Workers only ever see validated requests; a scan
-/// that throws resolves the affected futures with kInternal and the
-/// worker lives on.
+/// appliance name, no series set, a negative, non-finite or out-of-range
+/// deadline), kNotFound (unregistered appliance), or kFailedPrecondition
+/// (not started, shut down, or queue full). Workers only ever see
+/// validated requests; a scan that throws resolves the affected futures
+/// with kInternal and the worker lives on.
 ///
 /// QoS: every request carries a RequestPriority (default kNormal) — a
 /// worker always serves the earliest request of the most urgent class,
@@ -189,7 +186,8 @@ struct ServiceStats {
 /// rescan incrementally against persisted stitch state — bitwise-
 /// identical to a from-scratch scan of the concatenated series, at the
 /// cost of only the windows the new tail touches. Session appends ride
-/// the same queue, workers, and coalescing as one-shot requests.
+/// the same queue, workers, and coalesced groups as one-shot requests,
+/// sharing GEMM batches with them.
 ///
 /// Shutdown is graceful: admission stops at once, every request already
 /// admitted is still served, then workers join and live sessions close.
@@ -220,7 +218,8 @@ class Service {
   /// Clones per-worker replicas and launches the worker pool. Returns
   /// kFailedPrecondition when no appliance is registered, or when the
   /// service already started (including after Shutdown — a Service is
-  /// single-use).
+  /// single-use), and kInvalidArgument when checkpoint_interval_seconds
+  /// is not finite or too large for the clock.
   Status Start();
 
   /// Validates and enqueues \p request. Always returns a future: on
@@ -242,8 +241,7 @@ class Service {
   /// lifecycle and serialization contract). kFailedPrecondition before
   /// Start / after Shutdown, kNotFound for an unregistered appliance,
   /// kInvalidArgument for bad options or a duplicate live household_id.
-  /// Thread-safe. When ServiceOptions::session_idle_seconds > 0 this also
-  /// sweeps idle sessions first.
+  /// Thread-safe. Idle sessions are reclaimed by EvictIdleSessions only.
   Result<std::shared_ptr<Session>> CreateSession(const std::string& appliance,
                                                  SessionOptions options = {});
 
@@ -349,15 +347,15 @@ class Service {
   /// Serves one dequeued group (head task plus same-appliance extras) on
   /// \p runner. Expired-deadline tasks are shed first — their promises
   /// resolve with kDeadlineExceeded and they never reach the fault-
-  /// injection seam or a runner. The rest: one-shot tasks through one
-  /// coalesced ScanMany pass, session appends through one coalesced
-  /// AppendScanMany pass (a group never holds two appends of the same
-  /// session — the session serializer admits one at a time). Every
-  /// task's promise is resolved exactly once — with its ScanResult, or
-  /// with kInternal if the scan threw and retries are exhausted. A
-  /// throwing scan closes the affected sessions (their stitch state is
-  /// suspect; appends never retry) and re-enqueues one-shot tasks still
-  /// inside RetryPolicy::max_attempts after a bounded backoff.
+  /// injection seam or a runner. The rest — one-shot scans and session
+  /// appends, in admission order — run through ONE BatchRunner::ScanGroup
+  /// call (a group never holds two appends of the same session — the
+  /// session serializer admits one at a time). Every task's promise is
+  /// resolved exactly once — with its ScanResult, or with kInternal if
+  /// the scan threw and retries are exhausted. A throwing scan closes the
+  /// affected sessions (their stitch state is suspect; appends never
+  /// retry) and re-enqueues one-shot tasks still inside
+  /// RetryPolicy::max_attempts after a bounded backoff.
   void ServeGroup(BatchRunner* runner, QueuedScan* first,
                   std::vector<QueuedScan>* extras);
 
@@ -395,6 +393,8 @@ class Service {
   /// reason it carries no guard annotation).
   std::vector<std::unique_ptr<Worker>> workers_;
   int inner_budget_ = 1;  ///< nested-GEMM budget per worker (see Start).
+  /// checkpoint_interval_seconds, converted and range-checked by Start.
+  std::chrono::steady_clock::duration checkpoint_interval_{0};
   std::atomic<State> state_{State::kIdle};
   Mutex lifecycle_mu_;  ///< serializes Register/Start/Shutdown.
   /// Live sessions by id; guarded by sessions_mu_ (lock order: before any

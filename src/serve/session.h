@@ -42,15 +42,16 @@ struct SessionOptions {
 /// serialize in submission order (at most one is ever queued or running;
 /// later ones park on the session until the worker hands them off).
 /// Appends to DISTINCT sessions flow through the service's normal
-/// coalescing machinery and share GEMM batches.
+/// coalescing machinery and share GEMM batches with each other and with
+/// one-shot scans of the same appliance.
 ///
 /// Lifecycle: create -> append* -> Close. Close is idempotent; appends
 /// after it (or after the service shuts down, which closes every live
 /// session) fail with kFailedPrecondition, as do appends parked when it
 /// happens — only the already-running append still completes. Sessions
-/// idle past ServiceOptions::session_idle_seconds are evicted the same
-/// way. A handle is only a handle: it must not outlive the Service that
-/// created it, though it may outlive Shutdown.
+/// reclaimed by Service::EvictIdleSessions close the same way. A handle
+/// is only a handle: it must not outlive the Service that created it,
+/// though it may outlive Shutdown.
 class Session : public std::enable_shared_from_this<Session> {
  public:
   const std::string& id() const { return id_; }

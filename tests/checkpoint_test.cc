@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -283,6 +284,22 @@ TEST(CheckpointFormatTest, PayloadBitFlipFailsTheCrc) {
   auto restored = serve::ReadSessionCheckpoint(path);
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.status().ToString().find("CRC"), std::string::npos);
+}
+
+TEST(CheckpointFormatTest, ForgedSessionCountIsRejected) {
+  // session_count sits outside the payload CRC. A 48-byte file claiming
+  // 0xFFFFFFFF sessions over an empty payload (whose CRC is valid) must
+  // come back as a Status — a reader that reserved that many records up
+  // front would throw std::bad_alloc instead.
+  const std::string path = TestPath("forged_count.ckpt");
+  ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {}).ok());
+  std::string bytes = ReadRawBytes(path);
+  ASSERT_EQ(bytes.size(), serve::SessionCheckpointFormat::kHeaderBytes);
+  bytes.replace(8, 4, std::string(4, '\xff'));  // session_count field
+  WriteRawBytes(path, bytes);
+  auto restored = serve::ReadSessionCheckpoint(path);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointFormatTest, TornCommitFaultIsCaughtOnRead) {
@@ -575,6 +592,27 @@ TEST(ServiceCheckpointTest, PeriodicSweepWritesWithoutExplicitCalls) {
   EXPECT_TRUE(
       std::filesystem::exists(serve::Service::CheckpointFile(dir)));
   service.Shutdown();
+}
+
+TEST(ServiceCheckpointTest, UnrepresentableCheckpointIntervalFailsStart) {
+  // The sweep interval is converted to clock ticks once, in Start; a
+  // value the clock cannot hold is a configuration error, not a sweep
+  // that fires on every group (or never).
+  core::CamalEnsemble ensemble = RandomEnsemble(95);
+  for (double interval : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 1e12}) {
+    serve::ServiceOptions opt;
+    opt.checkpoint_dir = TestDir("bad_interval");
+    opt.checkpoint_interval_seconds = interval;
+    serve::Service service(opt);
+    ASSERT_TRUE(service
+                    .RegisterAppliance("fridge", &ensemble,
+                                       SmallRunner(16, 8, 4, 500.0f))
+                    .ok());
+    EXPECT_EQ(service.Start().code(), StatusCode::kInvalidArgument)
+        << interval;
+    EXPECT_FALSE(service.running());
+  }
 }
 
 TEST(ServiceCheckpointTest, CheckpointWriteFaultIsAStatusAndServiceServes) {

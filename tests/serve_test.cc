@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -455,7 +456,16 @@ TEST(BatchRunnerTest, MissingTimestampsNeverReportPower) {
   EXPECT_GT(on_count, 0);
 }
 
-TEST(BatchRunnerTest, ScanManyMatchesLoneScansBitwise) {
+std::vector<serve::ScanJob> OneShotJobs(
+    const std::vector<data::SeriesView>& views) {
+  std::vector<serve::ScanJob> jobs;
+  for (data::SeriesView view : views) {
+    jobs.push_back(serve::ScanJob{view, nullptr});
+  }
+  return jobs;
+}
+
+TEST(BatchRunnerTest, ScanGroupMatchesLoneScansBitwise) {
   // The coalescing contract: one shared feed phase over several series —
   // batches filling across series boundaries — must reproduce every lone
   // Scan bit for bit. Covers regular, short (left-padded), empty, and
@@ -477,7 +487,8 @@ TEST(BatchRunnerTest, ScanManyMatchesLoneScansBitwise) {
   }
   std::vector<data::SeriesView> views(cohort.begin(), cohort.end());
 
-  std::vector<serve::ScanResult> group = coalesced.ScanMany(views);
+  std::vector<serve::ScanResult> group =
+      coalesced.ScanGroup(OneShotJobs(views));
   ASSERT_EQ(group.size(), cohort.size());
   for (size_t i = 0; i < cohort.size(); ++i) {
     serve::ScanResult expected = sequential.Scan(cohort[i]);
@@ -492,9 +503,10 @@ TEST(BatchRunnerTest, ScanManyMatchesLoneScansBitwise) {
   }
 
   // Scratch reuse across calls must not leak one group's votes into the
-  // next: a second ScanMany over a permuted group stays bitwise-equal.
+  // next: a second ScanGroup over a permuted group stays bitwise-equal.
   std::vector<data::SeriesView> reversed(views.rbegin(), views.rend());
-  std::vector<serve::ScanResult> second = coalesced.ScanMany(reversed);
+  std::vector<serve::ScanResult> second =
+      coalesced.ScanGroup(OneShotJobs(reversed));
   for (size_t i = 0; i < reversed.size(); ++i) {
     serve::ScanResult expected = sequential.Scan(reversed[i]);
     ASSERT_EQ(second[i].windows, expected.windows) << "series " << i;
@@ -544,8 +556,9 @@ TEST(RequestQueueTest, PushPopIsFifo) {
   }
   EXPECT_EQ(queue.size(), 3);
   serve::QueuedScan out;
+  std::vector<serve::QueuedScan> extras;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(queue.PopGroup(&out, &extras, 0));
     EXPECT_EQ(out.request.household_id, std::to_string(i));
   }
   EXPECT_EQ(queue.size(), 0);
@@ -570,7 +583,8 @@ TEST(RequestQueueTest, RejectsWhenFullAndLeavesTaskIntact) {
 
   // Popping one admits one again.
   serve::QueuedScan out;
-  ASSERT_TRUE(queue.Pop(&out));
+  std::vector<serve::QueuedScan> extras;
+  ASSERT_TRUE(queue.PopGroup(&out, &extras, 0));
   serve::QueuedScan d = MakeTask(&series);
   EXPECT_TRUE(queue.Push(&d).ok());
 }
@@ -589,12 +603,13 @@ TEST(RequestQueueTest, CloseStopsAdmissionButDrainsBacklog) {
   EXPECT_EQ(queue.Push(&late).code(), StatusCode::kFailedPrecondition);
 
   // Graceful shutdown contract: admitted tasks are still poppable, then
-  // Pop reports exhaustion.
+  // PopGroup reports exhaustion.
   serve::QueuedScan out;
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_FALSE(queue.Pop(&out));
-  EXPECT_FALSE(queue.Pop(&out));  // stays drained
+  std::vector<serve::QueuedScan> extras;
+  EXPECT_TRUE(queue.PopGroup(&out, &extras, 0));
+  EXPECT_TRUE(queue.PopGroup(&out, &extras, 0));
+  EXPECT_FALSE(queue.PopGroup(&out, &extras, 0));
+  EXPECT_FALSE(queue.PopGroup(&out, &extras, 0));  // stays drained
 }
 
 TEST(RequestQueueTest, PopBlocksUntilPushOrClose) {
@@ -603,7 +618,8 @@ TEST(RequestQueueTest, PopBlocksUntilPushOrClose) {
   std::atomic<int> popped{0};
   std::thread consumer([&] {
     serve::QueuedScan out;
-    while (queue.Pop(&out)) popped.fetch_add(1);
+    std::vector<serve::QueuedScan> extras;
+    while (queue.PopGroup(&out, &extras, 0)) popped.fetch_add(1);
   });
   for (int i = 0; i < 5; ++i) {
     serve::QueuedScan task = MakeTask(&series);
@@ -650,7 +666,7 @@ TEST(RequestQueueTest, PopGroupDrainsSameApplianceKeepingOthersInOrder) {
 
   // The bypassed appliances kept their relative order: b1, c1, then a4.
   serve::QueuedScan out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.PopGroup(&out, &extras, 0));
   EXPECT_EQ(out.request.household_id, "b1");
   ASSERT_TRUE(queue.PopGroup(&first, &extras, 4));
   EXPECT_EQ(first.request.household_id, "c1");
@@ -661,7 +677,7 @@ TEST(RequestQueueTest, PopGroupDrainsSameApplianceKeepingOthersInOrder) {
   EXPECT_EQ(queue.size(), 0);
 }
 
-TEST(RequestQueueTest, PopGroupWithZeroBudgetBehavesLikePop) {
+TEST(RequestQueueTest, PopGroupWithZeroBudgetTakesOnlyTheHead) {
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/0);
   serve::QueuedScan a = MakeApplianceTask(&series, "a", "a1");
@@ -676,7 +692,7 @@ TEST(RequestQueueTest, PopGroupWithZeroBudgetBehavesLikePop) {
   EXPECT_TRUE(extras.empty());
   EXPECT_EQ(queue.size(), 1);
 
-  // Closed-and-drained reports exhaustion just like Pop.
+  // Closed-and-drained reports exhaustion at any budget.
   ASSERT_TRUE(queue.PopGroup(&first, &extras, 8));
   EXPECT_EQ(first.request.household_id, "a2");
   queue.Close();
@@ -711,8 +727,8 @@ TEST(RequestQueueTest, AnnotatedLockPathKeepsAllNormalTrafficBitwiseFifo) {
   // compile time; the migration must be behavior-neutral. All-kNormal
   // traffic is the PR 8 degenerate case in which the priority scheduler
   // must reproduce plain FIFO bit for bit — asserted here as exact
-  // admission-order service across both blocking dequeue paths
-  // (Pop and PopGroup, i.e. MutexLock scopes plus the CondVar wait loop)
+  // admission-order service across both drain budgets (PopGroup with
+  // budget 0 and 4, i.e. MutexLock scopes plus the CondVar wait loop)
   // while a concurrent producer races the consumer in and out of waits.
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/0);
@@ -730,7 +746,7 @@ TEST(RequestQueueTest, AnnotatedLockPathKeepsAllNormalTrafficBitwiseFifo) {
           served.push_back(extra.request.household_id);
         }
       } else {
-        if (!queue.Pop(&first)) break;
+        if (!queue.PopGroup(&first, &extras, 0)) break;
         served.push_back(first.request.household_id);
       }
       use_group = !use_group;
@@ -783,8 +799,9 @@ TEST(RequestQueueTest, PopPrefersHigherPriorityKeepingFifoWithinClass) {
 
   // Most-urgent class first; admission (FIFO) order within each class.
   serve::QueuedScan out;
+  std::vector<serve::QueuedScan> extras;
   for (const char* expected : {"h1", "h2", "n1", "n2", "l1"}) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(queue.PopGroup(&out, &extras, 0));
     EXPECT_EQ(out.request.household_id, expected);
   }
   EXPECT_EQ(queue.size(), 0);
@@ -823,7 +840,7 @@ TEST(RequestQueueTest, PopGroupGroupsOnlySamePriority) {
   // hb is now the most urgent; the normals follow in admission order.
   serve::QueuedScan out;
   for (const char* expected : {"hb", "n1", "n2"}) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(queue.PopGroup(&out, &extras, 0));
     EXPECT_EQ(out.request.household_id, expected);
   }
 }
@@ -861,11 +878,14 @@ TEST(RequestQueueTest, PopGroupLeavesWorkForIdleSiblings) {
   EXPECT_EQ(extras.size(), 1u);
   EXPECT_EQ(queue.size(), 0);
 
-  // Now park a sibling consumer in Pop on the empty queue...
+  // Now park a sibling consumer in PopGroup on the empty queue...
   std::atomic<int> sibling_popped{0};
   std::thread sibling([&] {
     serve::QueuedScan out;
-    if (queue.Pop(&out)) sibling_popped.fetch_add(1);
+    std::vector<serve::QueuedScan> sibling_extras;
+    if (queue.PopGroup(&out, &sibling_extras, 0)) {
+      sibling_popped.fetch_add(1);
+    }
   });
   while (queue.waiting_consumers() != 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1475,23 +1495,42 @@ TEST(ServiceTest, ExpiredRequestsAreShedBeforeScanning) {
   EXPECT_EQ(stats.accepted, 3);
 }
 
-TEST(ServiceTest, NegativeDeadlineIsRejectedAsInvalid) {
+TEST(ServiceTest, BadDeadlinesAreRejectedAsInvalid) {
+  // Negative deadlines, and deadlines the steady clock cannot hold, are
+  // refused up front: an unchecked conversion would turn +inf and huge
+  // values into a deadline already in the past (shed at once) and NaN
+  // into "no deadline".
   core::CamalEnsemble ensemble = RandomEnsemble(65);
-  serve::Service service;
+  serve::ServiceOptions service_opt;
+  service_opt.workers = 1;
+  serve::Service service(service_opt);
   ASSERT_TRUE(service
                   .RegisterAppliance("fridge", &ensemble,
                                      SmallRunner(16, 8, 4, 150.0f))
                   .ok());
   ASSERT_TRUE(service.Start().ok());
   std::vector<float> series(32, 100.0f);
-  serve::ScanRequest request;
-  request.appliance = "fridge";
-  request.series = data::SeriesView(series);
-  request.deadline_seconds = -0.5;
-  Result<serve::ScanResult> rejected = service.Submit(std::move(request)).get();
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.stats().rejected_invalid, 1);
+  for (double deadline : {-0.5, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 1e12}) {
+    serve::ScanRequest request;
+    request.appliance = "fridge";
+    request.series = data::SeriesView(series);
+    request.deadline_seconds = deadline;
+    Result<serve::ScanResult> rejected =
+        service.Submit(std::move(request)).get();
+    ASSERT_FALSE(rejected.ok()) << deadline;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << deadline;
+  }
+  EXPECT_EQ(service.stats().rejected_invalid, 4);
+  EXPECT_EQ(service.stats().accepted, 0);
+
+  // A far but representable deadline (about 32 years) is still served.
+  serve::ScanRequest far;
+  far.appliance = "fridge";
+  far.series = data::SeriesView(series);
+  far.deadline_seconds = 1e9;
+  EXPECT_TRUE(service.Submit(std::move(far)).get().ok());
 }
 
 TEST(ServiceTest, MixedPrioritiesWithSlackDeadlinesStayBitwiseIdentical) {
@@ -1767,7 +1806,7 @@ TEST(BatchRunnerTest, AppendScanMatchesFromScratchBitwise) {
   ExpectBitwiseEqual(last, reference.Scan(concatenated), "final");
 }
 
-TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
+TEST(BatchRunnerTest, ScanGroupCoalescesDistinctSessionAppendsBitwise) {
   // Distinct sessions' appends share one feed phase (the GEMM batches the
   // service coalesces across households); each must still finalize to the
   // exact from-scratch result, whatever its neighbors contributed.
@@ -1783,8 +1822,7 @@ TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
   const int64_t chunk_lens[kSessions] = {21, 9, 33};
   for (int round = 0; round < 3; ++round) {
     std::vector<std::vector<float>> chunks(kSessions);
-    std::vector<serve::SessionScanState*> state_ptrs;
-    std::vector<data::SeriesView> deltas;
+    std::vector<serve::ScanJob> jobs;
     for (int s = 0; s < kSessions; ++s) {
       chunks[s].resize(static_cast<size_t>(chunk_lens[s] + 2 * round));
       for (auto& v : chunks[s]) {
@@ -1792,11 +1830,9 @@ TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
       }
       concatenated[s].insert(concatenated[s].end(), chunks[s].begin(),
                              chunks[s].end());
-      state_ptrs.push_back(&states[s]);
-      deltas.push_back(data::SeriesView(chunks[s]));
+      jobs.push_back(serve::ScanJob{data::SeriesView(chunks[s]), &states[s]});
     }
-    std::vector<serve::ScanResult> got =
-        incremental.AppendScanMany(state_ptrs, deltas);
+    std::vector<serve::ScanResult> got = incremental.ScanGroup(jobs);
     ASSERT_EQ(got.size(), static_cast<size_t>(kSessions));
     for (int s = 0; s < kSessions; ++s) {
       serve::ScanResult want = reference.Scan(concatenated[s]);
@@ -1805,6 +1841,75 @@ TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
                          "round " + std::to_string(round) + " session " +
                              std::to_string(s));
     }
+  }
+}
+
+TEST(BatchRunnerTest, ScanGroupMixesOneShotAndAppendJobsBitwise) {
+  // One group may hold one-shot scans and session appends together. They
+  // share one feed phase, yet every job must match a lone Scan or
+  // AppendScan of it bit for bit — including an empty delta, a one-shot
+  // series shorter than one window, and a fresh session whose first
+  // delta is shorter than one window (the pad overlay).
+  core::CamalEnsemble ensemble = RandomEnsemble(75);
+  const serve::BatchRunnerOptions opt = SmallRunner(16, 8, 4, 700.0f);
+  serve::BatchRunner grouped(&ensemble, opt);
+  serve::BatchRunner lone(&ensemble, opt);
+
+  Rng rng(76);
+  const auto random_series = [&rng](int64_t len) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    return series;
+  };
+  // Each session exists twice with the same history: one copy is
+  // appended to inside the group, the other by lone AppendScans.
+  constexpr int kSessions = 3;
+  serve::SessionScanState grouped_states[kSessions];
+  serve::SessionScanState lone_states[kSessions];
+  const int64_t history[kSessions] = {45, 30, 0};
+  for (int s = 0; s < kSessions; ++s) {
+    const std::vector<float> readings = random_series(history[s]);
+    (void)grouped.AppendScan(&grouped_states[s], readings);
+    (void)lone.AppendScan(&lone_states[s], readings);
+  }
+  const std::vector<float> scan_long = random_series(70);
+  const std::vector<float> scan_short = random_series(9);
+  const std::vector<float> delta_regular = random_series(19);
+  const std::vector<float> delta_empty;
+  const std::vector<float> delta_short = random_series(6);
+
+  const std::vector<serve::ScanJob> jobs = {
+      {data::SeriesView(scan_long), nullptr},
+      {data::SeriesView(delta_regular), &grouped_states[0]},
+      {data::SeriesView(scan_short), nullptr},
+      {data::SeriesView(delta_empty), &grouped_states[1]},
+      {data::SeriesView(delta_short), &grouped_states[2]},
+  };
+  std::vector<serve::ScanResult> got = grouped.ScanGroup(jobs);
+  ASSERT_EQ(got.size(), jobs.size());
+
+  std::vector<serve::ScanResult> want;
+  want.push_back(lone.Scan(scan_long));
+  want.push_back(lone.AppendScan(&lone_states[0], delta_regular));
+  want.push_back(lone.Scan(scan_short));
+  want.push_back(lone.AppendScan(&lone_states[1], delta_empty));
+  want.push_back(lone.AppendScan(&lone_states[2], delta_short));
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const std::string label = "job " + std::to_string(i);
+    EXPECT_EQ(got[i].windows, want[i].windows) << label;
+    EXPECT_EQ(got[i].windows_full, want[i].windows_full) << label;
+    ExpectBitwiseEqual(got[i], want[i], label);
+  }
+  // The group left every session's persisted state exactly where the
+  // lone append left its twin.
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(grouped_states[s].series, lone_states[s].series);
+    EXPECT_EQ(grouped_states[s].votes.grid_windows,
+              lone_states[s].votes.grid_windows);
+    EXPECT_EQ(grouped_states[s].votes.prob_sum, lone_states[s].votes.prob_sum);
+    EXPECT_EQ(grouped_states[s].votes.cover, lone_states[s].votes.cover);
+    EXPECT_EQ(grouped_states[s].votes.on_votes,
+              lone_states[s].votes.on_votes);
   }
 }
 
@@ -1937,7 +2042,7 @@ TEST(ServiceTest, ConcurrentSessionAppendsSerializePerSession) {
 
 TEST(ServiceTest, DistinctSessionAppendsCoalesceIntoSharedBatches) {
   // One worker, deep queue: appends of distinct sessions drained together
-  // must serve through one shared AppendScanMany pass (coalescing
+  // must serve through one shared ScanGroup pass (coalescing
   // telemetry ticks) and still match from-scratch Submits bitwise.
   core::CamalEnsemble ensemble = RandomEnsemble(69);
   serve::ServiceOptions service_opt;
@@ -1990,6 +2095,109 @@ TEST(ServiceTest, DistinctSessionAppendsCoalesceIntoSharedBatches) {
     ASSERT_TRUE(reference.ok());
     ExpectBitwiseEqual(results[static_cast<size_t>(s)], reference.value(),
                        "session " + std::to_string(s));
+  }
+}
+
+TEST(ServiceTest, MixedScanAndAppendGroupSharesOnePassBitwise) {
+  // One worker, parked inside a plug request; behind it interleaved
+  // one-shot Submits and session appends for the same appliance queue up
+  // and dequeue as one group. The group must run as ONE shared pass —
+  // every result reports the same `seconds`, the pass's wall time — and
+  // each result must still match its lone reference bit for bit.
+  core::CamalEnsemble ensemble = RandomEnsemble(77);
+  std::atomic<bool> release{false};
+  FaultInjector injector;
+  injector.set_scan_hook([&](const std::string& household) {
+    if (household != "plug") return;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  serve::ServiceOptions service_opt;
+  service_opt.workers = 1;
+  service_opt.queue_capacity = 0;
+  service_opt.coalesce_budget = 16;
+  service_opt.fault_injector = &injector;
+  serve::Service service(service_opt);
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 900.0f);
+  ASSERT_TRUE(service.RegisterAppliance("kettle", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());
+
+  Rng rng(78);
+  const auto random_series = [&rng](int64_t len) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    return series;
+  };
+  // Give every session a history first, served before the plug.
+  constexpr int kSessions = 3;
+  std::vector<std::shared_ptr<serve::Session>> sessions;
+  std::vector<std::vector<float>> concatenated;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.push_back(service.CreateSession("kettle").value());
+    concatenated.push_back(random_series(24 + 11 * s));
+    ASSERT_TRUE(
+        sessions.back()->AppendReadings(concatenated.back()).get().ok());
+  }
+
+  std::vector<float> plug_series(64, 500.0f);
+  serve::ScanRequest plug;
+  plug.household_id = "plug";
+  plug.appliance = "kettle";
+  plug.series = data::SeriesView(plug_series);
+  std::future<Result<serve::ScanResult>> plug_future =
+      service.Submit(std::move(plug));
+  while (service.queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Interleave: one-shot, append, one-shot, append, ... The first
+  // one-shot is shorter than one window.
+  std::vector<std::vector<float>> one_shots;
+  std::vector<std::future<Result<serve::ScanResult>>> futures;
+  for (int s = 0; s < kSessions; ++s) {
+    one_shots.push_back(random_series(9 + 30 * s));
+    futures.push_back(service.Submit("kettle", one_shots.back()));
+    std::vector<float> delta = random_series(5 + 7 * s);
+    concatenated[static_cast<size_t>(s)].insert(
+        concatenated[static_cast<size_t>(s)].end(), delta.begin(),
+        delta.end());
+    futures.push_back(
+        sessions[static_cast<size_t>(s)]->AppendReadings(std::move(delta)));
+  }
+  ASSERT_EQ(service.queue_depth(), 2 * kSessions);
+  release.store(true);
+  ASSERT_TRUE(plug_future.get().ok());
+
+  std::vector<serve::ScanResult> results;
+  for (auto& future : futures) {
+    Result<serve::ScanResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results.push_back(std::move(result).value());
+  }
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced_groups, 1);
+  EXPECT_EQ(stats.coalesced_requests, 2 * kSessions);
+  EXPECT_EQ(stats.failed, 0);
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].seconds, results[0].seconds)
+        << "request " << i << " ran in a separate pass";
+  }
+  service.Shutdown();
+
+  serve::BatchRunner sequential(&ensemble, runner);
+  for (int s = 0; s < kSessions; ++s) {
+    const serve::ScanResult& scanned = results[static_cast<size_t>(2 * s)];
+    const serve::ScanResult want_scan =
+        sequential.Scan(one_shots[static_cast<size_t>(s)]);
+    EXPECT_EQ(scanned.windows, want_scan.windows);
+    ExpectBitwiseEqual(scanned, want_scan, "one-shot " + std::to_string(s));
+    const serve::ScanResult& appended =
+        results[static_cast<size_t>(2 * s + 1)];
+    const serve::ScanResult want_append =
+        sequential.Scan(concatenated[static_cast<size_t>(s)]);
+    EXPECT_EQ(appended.windows_full, want_append.windows);
+    ExpectBitwiseEqual(appended, want_append, "append " + std::to_string(s));
   }
 }
 
