@@ -11,12 +11,12 @@ namespace camal::core {
 nn::Tensor ComputeCam(const nn::Tensor& feature_maps,
                       const nn::Tensor& head_weights, int64_t class_index);
 
-/// ComputeCam into a caller-owned tensor: \p out is reshaped only when its
-/// shape differs from (N, L), so a scan loop that localizes batch after
-/// batch reuses the same storage (serve::BatchRunner's hot path).
-void ComputeCamInto(const nn::Tensor& feature_maps,
-                    const nn::Tensor& head_weights, int64_t class_index,
-                    nn::Tensor* out);
+/// Row \p ni of ComputeCam, written to the \p l = feature_maps.dim(2)
+/// floats at \p dst: the same arithmetic as the full map, so a caller
+/// that needs only some windows' CAMs gets bitwise-identical rows.
+void ComputeCamRow(const nn::Tensor& feature_maps,
+                   const nn::Tensor& head_weights, int64_t class_index,
+                   int64_t ni, float* dst);
 
 /// Per-sample max normalization (step 4 of §IV-B): each row of \p cam is
 /// divided by its maximum value. Negative evidence stays negative — the
@@ -24,8 +24,8 @@ void ComputeCamInto(const nn::Tensor& feature_maps,
 /// step relies on. Rows whose maximum is not positive are zeroed.
 nn::Tensor NormalizeCamByMax(const nn::Tensor& cam);
 
-/// In-place variant of NormalizeCamByMax for reused scratch tensors.
-void NormalizeCamByMaxInPlace(nn::Tensor* cam);
+/// NormalizeCamByMax of one row of \p l values, in place.
+void NormalizeCamRowByMax(float* row, int64_t l);
 
 /// Mean of \p cams (all (N, L), same shape): the ensemble CAM of step 4.
 nn::Tensor AverageCams(const std::vector<nn::Tensor>& cams);

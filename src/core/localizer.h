@@ -6,6 +6,10 @@
 namespace camal::core {
 
 /// Output of the CamAL localization pipeline for a batch of windows.
+///
+/// CAMs are computed only for detected windows (probability above the
+/// threshold): the rows of undetected windows in ensemble_cam are zero,
+/// like their status rows.
 struct LocalizationResult {
   nn::Tensor probabilities;  ///< (N) ensemble detection probability.
   nn::Tensor ensemble_cam;   ///< (N, L) averaged normalized CAM.
@@ -35,7 +39,8 @@ struct LocalizerOptions {
 /// (3) per-member class-1 CAM extraction, (4) max-normalization and
 /// averaging, (5) attention: s(t) = sigmoid(CAM_ens(t) * x(t)), (6)
 /// rounding to a binary status. Windows whose detection probability is
-/// below the threshold output all-zero status.
+/// below the threshold output all-zero status, and steps 3-6 are skipped
+/// for them.
 ///
 /// Interpretation note: the CAM is kept signed after max-normalization and
 /// the attention mask multiplies it with the per-window *standardized*
@@ -58,14 +63,11 @@ class CamalLocalizer {
   const LocalizerOptions& options() const { return options_; }
 
  private:
+  /// Localize runs the ensemble, which caches member feature maps, so a
+  /// localizer and its ensemble are single-threaded state — sharded
+  /// serving gives each shard its own localizer over its own replica.
   CamalEnsemble* ensemble_;
   LocalizerOptions options_;
-  /// Per-member CAM scratch reused across Localize calls (a household scan
-  /// localizes hundreds of equally-shaped batches; reallocating every CAM
-  /// per batch dominated small-batch scans). One localizer instance is
-  /// therefore single-threaded state — sharded serving gives each shard
-  /// its own localizer over its own ensemble replica.
-  std::vector<nn::Tensor> cam_scratch_;
 };
 
 }  // namespace camal::core

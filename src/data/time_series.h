@@ -12,12 +12,14 @@ namespace camal::data {
 /// Sentinel for a missing smart-meter reading.
 inline constexpr float kMissingValue = std::numeric_limits<float>::quiet_NaN();
 
-/// True when \p v is a missing reading.
-inline bool IsMissing(float v) { return std::isnan(v); }
+/// True when \p v is a missing reading: NaN (kMissingValue) or +-Inf. A
+/// non-finite reading carries no power value, so every consumer treats
+/// it exactly like a gap.
+inline bool IsMissing(float v) { return !std::isfinite(v); }
 
 /// A regularly sampled univariate power series (the smart-meter signal of
 /// Section II): values[i] is the average power (Watts) over interval i.
-/// Missing readings are kMissingValue.
+/// Missing readings are kMissingValue (any non-finite value counts).
 struct TimeSeries {
   double interval_seconds = 60.0;
   std::vector<float> values;

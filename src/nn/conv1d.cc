@@ -8,6 +8,29 @@
 #include "nn/init.h"
 
 namespace camal::nn {
+namespace {
+
+// Samples whose weight-gradient partials Backward holds at once. The
+// partials fold into the gradient in sample order, so this bounds the
+// scratch (kBackwardBlock x cout x cin * k floats) without changing a bit
+// of the result.
+constexpr int64_t kBackwardBlock = 8;
+
+// Sample (cin, lin) with `pad` zero columns on each side: the sample itself
+// when pad == 0, else its copy into the interior of *xpad (cin, lin + 2 *
+// pad), whose pad columns the caller zeroed.
+const float* PadSample(const float* sample, int64_t cin, int64_t lin,
+                       int64_t pad, AlignedBuffer* xpad) {
+  if (pad == 0) return sample;
+  const int64_t lpad = lin + 2 * pad;
+  for (int64_t ci = 0; ci < cin; ++ci) {
+    std::copy(sample + ci * lin, sample + (ci + 1) * lin,
+              xpad->data() + ci * lpad + pad);
+  }
+  return xpad->data();
+}
+
+}  // namespace
 
 Conv1d::Conv1d(const Conv1dOptions& options, Rng* rng) : options_(options) {
   CAMAL_CHECK_GT(options_.in_channels, 0);
@@ -39,47 +62,8 @@ int64_t Conv1d::OutputLength(int64_t input_length) const {
 }
 
 Tensor Conv1d::Forward(const Tensor& x) {
-  CAMAL_CHECK_EQ(x.ndim(), 3);
-  CAMAL_CHECK_EQ(x.dim(1), options_.in_channels);
   input_ = x;
-  const int64_t n = x.dim(0), cin = options_.in_channels, lin = x.dim(2);
-  const int64_t cout = options_.out_channels, k = options_.kernel_size;
-  const int64_t lout = OutputLength(lin);
-  CAMAL_CHECK_GT(lout, 0);
-  Tensor y({n, cout, lout});
-  const int64_t stride = options_.stride, pad = options_.padding,
-                dil = options_.dilation;
-
-  ParallelFor(0, n * cout, [&](int64_t idx) {
-    const int64_t ni = idx / cout;
-    const int64_t co = idx % cout;
-    float* out_row = y.data() + (ni * cout + co) * lout;
-    if (options_.bias) {
-      std::fill(out_row, out_row + lout, bias_.value.at(co));
-    }
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      const float* in_row = x.data() + (ni * cin + ci) * lin;
-      const float* w_row = weight_.value.data() + (co * cin + ci) * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float w = w_row[kk];
-        if (w == 0.0f) continue;
-        const int64_t in_off = kk * dil - pad;
-        // Valid output positions: 0 <= t*stride + in_off < lin.
-        int64_t t0 = 0;
-        if (in_off < 0) t0 = (-in_off + stride - 1) / stride;
-        int64_t t1 = lout;
-        if (in_off < lin) {
-          t1 = std::min<int64_t>(lout, (lin - 1 - in_off) / stride + 1);
-        } else {
-          t1 = 0;
-        }
-        for (int64_t t = t0; t < t1; ++t) {
-          out_row[t] += w * in_row[t * stride + in_off];
-        }
-      }
-    }
-  });
-  return y;
+  return ForwardInference(x);
 }
 
 Tensor Conv1d::RunBatched(const Tensor& x, const float* row_scale,
@@ -119,23 +103,10 @@ Tensor Conv1d::RunBatched(const Tensor& x, const float* row_scale,
   // (cin * k) x L_out column matrix.
   ParallelForChunked(0, n, [&](int64_t n_begin, int64_t n_end) {
     thread_local AlignedBuffer xpad;
-    const float* sample_pad;
-    if (pad == 0) {
-      sample_pad = nullptr;  // read straight from x below
-    } else {
-      xpad.assign(static_cast<size_t>(cin * lpad), 0.0f);
-    }
+    if (pad != 0) xpad.assign(static_cast<size_t>(cin * lpad), 0.0f);
     for (int64_t ni = n_begin; ni < n_end; ++ni) {
-      const float* sample = x.data() + ni * cin * lin;
-      if (pad == 0) {
-        sample_pad = sample;
-      } else {
-        for (int64_t ci = 0; ci < cin; ++ci) {
-          std::copy(sample + ci * lin, sample + (ci + 1) * lin,
-                    xpad.data() + ci * lpad + pad);
-        }
-        sample_pad = xpad.data();
-      }
+      const float* sample_pad =
+          PadSample(x.data() + ni * cin * lin, cin, lin, pad, &xpad);
       ConvGemmEpilogue(w, sample_pad, y.data() + ni * cout * lpool, params);
     }
   });
@@ -179,66 +150,87 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
   CAMAL_CHECK_EQ(grad_output.dim(2), lout);
   const int64_t stride = options_.stride, pad = options_.padding,
                 dil = options_.dilation;
+  const int64_t lpad = lin + 2 * pad;
+  const int64_t kdim = cin * k;  // im2col rows, in (ci, kk) order
+  const int64_t wsize = cout * kdim;
 
-  // Parameter gradients: parallel over output channels (each channel's
-  // weight slice is touched by exactly one worker).
-  ParallelFor(0, cout, [&](int64_t co) {
-    float* wg_base = weight_.grad.data() + co * cin * k;
-    double bias_acc = 0.0;
-    for (int64_t ni = 0; ni < n; ++ni) {
-      const float* go_row = grad_output.data() + (ni * cout + co) * lout;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* in_row = input_.data() + (ni * cin + ci) * lin;
-        float* wg_row = wg_base + ci * k;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const int64_t in_off = kk * dil - pad;
-          int64_t t0 = 0;
-          if (in_off < 0) t0 = (-in_off + stride - 1) / stride;
-          int64_t t1 = 0;
-          if (in_off < lin) {
-            t1 = std::min<int64_t>(lout, (lin - 1 - in_off) / stride + 1);
-          }
-          float acc = 0.0f;
-          for (int64_t t = t0; t < t1; ++t) {
-            acc += go_row[t] * in_row[t * stride + in_off];
-          }
-          wg_row[kk] += acc;
-        }
+  // Bias gradient: one double sum per channel over (sample, position).
+  if (options_.bias) {
+    ParallelFor(0, cout, [&](int64_t co) {
+      double acc = 0.0;
+      for (int64_t ni = 0; ni < n; ++ni) {
+        const float* go_row = grad_output.data() + (ni * cout + co) * lout;
+        for (int64_t t = 0; t < lout; ++t) acc += go_row[t];
       }
-      if (options_.bias) {
-        for (int64_t t = 0; t < lout; ++t) bias_acc += go_row[t];
-      }
-    }
-    if (options_.bias) {
-      bias_.grad.at(co) += static_cast<float>(bias_acc);
-    }
-  });
+      bias_.grad.at(co) += static_cast<float>(acc);
+    });
+  }
 
-  // Input gradient: parallel over (batch x input-channel).
-  Tensor grad_input({n, cin, lin});
-  ParallelFor(0, n * cin, [&](int64_t idx) {
-    const int64_t ni = idx / cin;
-    const int64_t ci = idx % cin;
-    float* gi_row = grad_input.data() + (ni * cin + ci) * lin;
-    for (int64_t co = 0; co < cout; ++co) {
-      const float* go_row = grad_output.data() + (ni * cout + co) * lout;
-      const float* w_row = weight_.value.data() + (co * cin + ci) * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float w = w_row[kk];
-        if (w == 0.0f) continue;
-        const int64_t in_off = kk * dil - pad;
-        int64_t t0 = 0;
-        if (in_off < 0) t0 = (-in_off + stride - 1) / stride;
-        int64_t t1 = 0;
-        if (in_off < lin) {
-          t1 = std::min<int64_t>(lout, (lin - 1 - in_off) / stride + 1);
+  // Caller-thread scratch, shared with the workers through the pointers
+  // (a thread_local named inside the loop bodies would be the worker's).
+  // W^T (cin * k, cout) is the A operand of the column-gradient product.
+  thread_local AlignedBuffer w_t_scratch, partial_scratch;
+  w_t_scratch.resize(static_cast<size_t>(wsize));
+  float* w_t = w_t_scratch.data();
+  const float* w = weight_.value.data();
+  for (int64_t co = 0; co < cout; ++co) {
+    for (int64_t p = 0; p < kdim; ++p) w_t[p * cout + co] = w[co * kdim + p];
+  }
+  const int64_t block = std::min(n, kBackwardBlock);
+  partial_scratch.resize(static_cast<size_t>(block * wsize));
+  float* partials = partial_scratch.data();  // block x (cout, cin * k)
+  Tensor grad_input = Tensor::Uninitialized({n, cin, lin});
+  float* wg = weight_.grad.data();
+  for (int64_t b0 = 0; b0 < n; b0 += block) {
+    const int64_t b1 = std::min(n, b0 + block);
+    ParallelForChunked(b0, b1, [&](int64_t s_begin, int64_t s_end) {
+      thread_local AlignedBuffer xpad, cols, gpad;
+      if (pad != 0) xpad.assign(static_cast<size_t>(cin * lpad), 0.0f);
+      cols.resize(static_cast<size_t>(lout * kdim));
+      gpad.resize(static_cast<size_t>(cin * lpad));
+      for (int64_t ni = s_begin; ni < s_end; ++ni) {
+        const float* xs =
+            PadSample(input_.data() + ni * cin * lin, cin, lin, pad, &xpad);
+        const float* go = grad_output.data() + ni * cout * lout;
+        // col^T (lout, cin * k): row t holds the inputs output column t
+        // reads. Weight-gradient partial go * col^T (cout, cin * k).
+        for (int64_t t = 0; t < lout; ++t) {
+          float* row = cols.data() + t * kdim;
+          for (int64_t ci = 0; ci < cin; ++ci) {
+            const float* src = xs + ci * lpad + t * stride;
+            for (int64_t kk = 0; kk < k; ++kk) row[ci * k + kk] = src[kk * dil];
+          }
         }
-        for (int64_t t = t0; t < t1; ++t) {
-          gi_row[t * stride + in_off] += w * go_row[t];
+        GemmEpilogue(go, cols.data(), partials + (ni - b0) * wsize,
+                     cout, lout, kdim, nullptr, nullptr, /*relu=*/false);
+        // Column gradient W^T * go (cin * k, lout), scattered back onto the
+        // padded positions each column read (col2im); the pad is dropped.
+        GemmEpilogue(w_t, go, cols.data(), kdim, cout, lout, nullptr,
+                     nullptr, /*relu=*/false);
+        std::fill(gpad.begin(), gpad.end(), 0.0f);
+        for (int64_t ci = 0; ci < cin; ++ci) {
+          for (int64_t kk = 0; kk < k; ++kk) {
+            const float* src = cols.data() + (ci * k + kk) * lout;
+            float* dst = gpad.data() + ci * lpad + kk * dil;
+            for (int64_t t = 0; t < lout; ++t) dst[t * stride] += src[t];
+          }
+        }
+        float* gi = grad_input.data() + ni * cin * lin;
+        for (int64_t ci = 0; ci < cin; ++ci) {
+          const float* src = gpad.data() + ci * lpad + pad;
+          std::copy(src, src + lin, gi + ci * lin);
         }
       }
-    }
-  });
+    });
+    // Fold the block's partials into dW in sample order: each element
+    // adds the same partials in the same order however the loop is cut.
+    ParallelForChunked(0, wsize, [&](int64_t e_begin, int64_t e_end) {
+      for (int64_t s = 0; s < b1 - b0; ++s) {
+        const float* part = partials + s * wsize;
+        for (int64_t e = e_begin; e < e_end; ++e) wg[e] += part[e];
+      }
+    });
+  }
   return grad_input;
 }
 

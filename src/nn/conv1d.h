@@ -27,22 +27,37 @@ struct Conv1dOptions {
 ///
 /// Weight shape is (C_out, C_in, K); output length is
 ///   L_out = (L + 2*padding - dilation*(K-1) - 1) / stride + 1.
-/// Forward and backward are multithreaded over (batch x output-channel).
+/// Every pass runs on the register-blocked GEMM kernels (nn/gemm.h) and
+/// is parallel over the batch, each thread with its own per-sample
+/// scratch. Results are bitwise-independent of CAMAL_THREADS and of the
+/// calling thread's budget: each sample is computed by one thread, and
+/// the only cross-sample sums (weight and bias gradients) run in a fixed
+/// sample order.
 class Conv1d : public Module {
  public:
   /// Creates the layer and initializes weights (Kaiming uniform) from \p rng.
   Conv1d(const Conv1dOptions& options, Rng* rng);
 
+  /// ForwardInference that also keeps \p x for Backward.
   Tensor Forward(const Tensor& x) override;
+
+  /// Gradients of the last Forward: accumulates (+=) the weight and bias
+  /// gradients and returns the input gradient. Per sample n, on
+  /// GemmEpilogue:
+  ///   dW += go_n * col_n^T,   dX_n = col2im(W^T * go_n),
+  /// where col_n is the (C_in * K, L_out) im2col matrix of the padded
+  /// sample. The dW partials of a bounded block of samples are held at
+  /// once and folded into the gradient in sample order; the bias
+  /// gradient is a double sum per channel.
   Tensor Backward(const Tensor& grad_output) override;
 
   /// Implicit-im2col register-blocked GEMM (AVX-512/AVX2+FMA when the CPU
   /// has them) for EVERY geometry — strided and dilated convolutions walk
   /// the padded sample at stride/dilation offsets inside the tile loops,
-  /// so no inference path ever materializes a column matrix. Parallelized
+  /// so no forward pass ever materializes a column matrix. Parallelized
   /// over the batch with per-thread reusable padding scratch; skips the
   /// input caching Forward does for Backward. The batched serving path
-  /// runs through this.
+  /// and training both run through this.
   Tensor ForwardInference(const Tensor& x) override;
 
   /// ForwardInference with a per-output-channel affine + optional ReLU +

@@ -12,6 +12,7 @@
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "nn/tensor.h"
+#include "reference_conv.h"
 
 namespace camal {
 namespace {
@@ -58,6 +59,8 @@ TEST(GemmTest, MatchesNaiveProduct) {
 }
 
 TEST(Conv1dInferenceTest, AgreesWithForwardAcrossGeometries) {
+  // Training Forward shares ForwardInference's kernel, so the oracle is
+  // the direct-loop reference convolution.
   Rng rng(5);
   struct Geometry {
     int64_t cin, cout, k, stride, padding, dilation;
@@ -76,7 +79,7 @@ TEST(Conv1dInferenceTest, AgreesWithForwardAcrossGeometries) {
     opt.dilation = g.dilation;
     nn::Conv1d conv(opt, &rng);
     nn::Tensor x = RandomTensor({3, g.cin, 40}, &rng);
-    nn::Tensor slow = conv.Forward(x);
+    nn::Tensor slow = testing::ReferenceConvForward(&conv, x);
     nn::Tensor fast = conv.ForwardInference(x);
     EXPECT_LT(MaxAbsDiff(slow, fast), 1e-5)
         << "cin=" << g.cin << " k=" << g.k << " stride=" << g.stride
@@ -110,7 +113,7 @@ TEST(Conv1dInferenceTest, StridedDilatedParityAcrossBatchesAndLengths) {
       for (int64_t lin : {17, 33, 41}) {
         if (conv.OutputLength(lin) <= 0) continue;
         nn::Tensor x = RandomTensor({n, g.cin, lin}, &rng);
-        nn::Tensor slow = conv.Forward(x);
+        nn::Tensor slow = testing::ReferenceConvForward(&conv, x);
         nn::Tensor fast = conv.ForwardInference(x);
         EXPECT_LT(MaxAbsDiff(slow, fast), 1e-4)
             << "n=" << n << " lin=" << lin << " k=" << g.k
@@ -275,7 +278,9 @@ TEST(Conv1dInferenceTest, NoBiasAndSingleSample) {
   opt.bias = false;
   nn::Conv1d conv(opt, &rng);
   nn::Tensor x = RandomTensor({1, 2, 17}, &rng);
-  EXPECT_LT(MaxAbsDiff(conv.Forward(x), conv.ForwardInference(x)), 1e-5);
+  EXPECT_LT(MaxAbsDiff(testing::ReferenceConvForward(&conv, x),
+                       conv.ForwardInference(x)),
+            1e-5);
 }
 
 TEST(BatchNormInferenceTest, EvalModeAgreesWithForward) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+
+#include "common/parallel_for.h"
 #include "core/cam.h"
 #include "core/ensemble.h"
 #include "core/localizer.h"
@@ -13,6 +17,14 @@ namespace {
 
 using camal::testing::CheckModuleGradients;
 using camal::testing::RandomInput;
+
+// Force a multi-thread pool even on single-core machines so the thread-
+// budget tests really fan out; an explicit CAMAL_THREADS (e.g. from CI)
+// wins.
+const bool kThreadsForced = [] {
+  setenv("CAMAL_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 ResNetConfig TinyConfig(int64_t kernel = 5) {
   ResNetConfig c;
@@ -253,6 +265,49 @@ TEST(EnsembleTest, EarlyStoppingSelectionIsReproducible) {
   }
 }
 
+TEST(EnsembleTest, TrainingIsBitwiseIndependentOfThreadBudget) {
+  // Every training kernel (conv GEMMs, their per-sample backward and the
+  // sample-ordered gradient fold) must give the same bits whether it fans
+  // out over the pool or runs inline, so a trained ensemble never depends
+  // on CAMAL_THREADS or on the budget of the thread that trains it.
+  data::WindowDataset train = MakePulseDataset(40, 24, 1);
+  data::WindowDataset valid = MakePulseDataset(16, 24, 2);
+  data::WindowDataset probe = MakePulseDataset(8, 24, 3);
+  auto wide = CamalEnsemble::Train(train, valid, TinyEnsembleConfig(), 7);
+  ASSERT_TRUE(wide.ok());
+  Result<CamalEnsemble> serial = Status::Internal("not trained");
+  {
+    ParallelBudgetScope scope(1);
+    serial = CamalEnsemble::Train(train, valid, TinyEnsembleConfig(), 7);
+  }
+  ASSERT_TRUE(serial.ok());
+  const auto& a = wide.value().members();
+  const auto& b = serial.value().members();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t m = 0; m < a.size(); ++m) {
+    EXPECT_EQ(a[m].kernel_size, b[m].kernel_size);
+    EXPECT_EQ(a[m].validation_loss, b[m].validation_loss);
+    const auto pa = a[m].model->Parameters();
+    const auto pb = b[m].model->Parameters();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t p = 0; p < pa.size(); ++p) {
+      ASSERT_TRUE(pa[p]->value.SameShape(pb[p]->value));
+      EXPECT_EQ(std::memcmp(pa[p]->value.data(), pb[p]->value.data(),
+                            static_cast<size_t>(pa[p]->value.numel()) *
+                                sizeof(float)),
+                0)
+          << "member " << m << " parameter " << pa[p]->name;
+    }
+  }
+  // Batch-norm running statistics are not parameters; the probabilities
+  // cover them.
+  nn::Tensor prob_a = wide.value().DetectProbability(probe.inputs);
+  nn::Tensor prob_b = serial.value().DetectProbability(probe.inputs);
+  for (int64_t i = 0; i < prob_a.numel(); ++i) {
+    EXPECT_EQ(prob_a.at(i), prob_b.at(i)) << "window " << i;
+  }
+}
+
 TEST(LocalizerTest, UndetectedWindowsAreAllOff) {
   data::WindowDataset train = MakePulseDataset(60, 24, 1);
   data::WindowDataset valid = MakePulseDataset(20, 24, 2);
@@ -270,6 +325,51 @@ TEST(LocalizerTest, UndetectedWindowsAreAllOff) {
       }
     }
   }
+}
+
+TEST(LocalizerTest, CamsAreComputedOnlyForDetectedWindows) {
+  // Undetected windows are forced all-OFF, so their CAMs are never
+  // computed: their ensemble_cam rows are zero, while detected rows match
+  // the full-map pipeline ComputeCam -> NormalizeCamByMax -> AverageCams
+  // bitwise.
+  data::WindowDataset train = MakePulseDataset(60, 24, 1);
+  data::WindowDataset valid = MakePulseDataset(20, 24, 2);
+  auto result = CamalEnsemble::Train(train, valid, TinyEnsembleConfig(), 7);
+  ASSERT_TRUE(result.ok());
+  CamalEnsemble ensemble = std::move(result).value();
+  CamalLocalizer localizer(&ensemble);
+
+  data::WindowDataset test = MakePulseDataset(20, 24, 3);
+  LocalizationResult res = localizer.Localize(test.inputs);
+  // Localize leaves the members' feature maps of this batch cached.
+  std::vector<nn::Tensor> cams;
+  for (const EnsembleMember& member : ensemble.members()) {
+    cams.push_back(NormalizeCamByMax(ComputeCam(
+        member.model->feature_maps(), member.model->head_weights(), 1)));
+  }
+  const nn::Tensor reference = AverageCams(cams);
+  int detected = 0, undetected_with_evidence = 0;
+  for (int64_t i = 0; i < test.size(); ++i) {
+    if (res.probabilities.at(i) > 0.5f) {
+      ++detected;
+      for (int64_t t = 0; t < 24; ++t) {
+        EXPECT_EQ(res.ensemble_cam.at2(i, t), reference.at2(i, t))
+            << "detected window " << i << " t=" << t;
+      }
+      continue;
+    }
+    bool evidence = false;
+    for (int64_t t = 0; t < 24; ++t) {
+      EXPECT_EQ(res.ensemble_cam.at2(i, t), 0.0f)
+          << "undetected window " << i << " t=" << t;
+      evidence = evidence || reference.at2(i, t) != 0.0f;
+    }
+    undetected_with_evidence += evidence ? 1 : 0;
+  }
+  // Both branches are exercised, and some undetected window has a nonzero
+  // full-map CAM, so the zero rows are not vacuous.
+  EXPECT_GT(detected, 0);
+  EXPECT_GT(undetected_with_evidence, 0);
 }
 
 TEST(LocalizerTest, LocalizesPulsesBetterThanChance) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/balance.h"
 #include "data/dataset.h"
 #include "data/resample.h"
@@ -16,6 +18,16 @@ TEST(TimeSeriesTest, MissingCount) {
   EXPECT_EQ(s.MissingCount(), 2);
   EXPECT_TRUE(IsMissing(kMissingValue));
   EXPECT_FALSE(IsMissing(0.0f));
+}
+
+TEST(TimeSeriesTest, InfiniteReadingsAreMissing) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(IsMissing(inf));
+  EXPECT_TRUE(IsMissing(-inf));
+  EXPECT_FALSE(IsMissing(std::numeric_limits<float>::max()));
+  TimeSeries s;
+  s.values = {1.0f, inf, kMissingValue, -inf};
+  EXPECT_EQ(s.MissingCount(), 3);
 }
 
 TEST(ResampleTest, AveragesBuckets) {

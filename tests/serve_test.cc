@@ -1738,6 +1738,36 @@ void ExpectBitwiseEqual(const serve::ScanResult& got,
   }
 }
 
+TEST(BatchRunnerTest, InfiniteReadingsScanExactlyLikeNaN) {
+  // A +-Inf reading carries no power value any more than NaN does: the
+  // scan must treat it as the same gap, bit for bit, and no non-finite
+  // value may reach the results.
+  core::CamalEnsemble ensemble = RandomEnsemble(51);
+  serve::BatchRunnerOptions opt;
+  opt.stream = SmallStream(16, 8, 4);
+  opt.appliance_avg_power_w = 700.0f;
+  serve::BatchRunner runner(&ensemble, opt);
+
+  Rng rng(52);
+  std::vector<float> with_nan(96);
+  for (auto& v : with_nan) v = static_cast<float>(rng.Uniform(1000.0, 3000.0));
+  std::vector<float> with_inf = with_nan;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (size_t t = 5; t < with_nan.size(); t += 7) {
+    with_nan[t] = std::nanf("");
+    with_inf[t] = (t / 7) % 2 == 0 ? inf : -inf;
+  }
+  serve::ScanResult a = runner.Scan(with_nan);
+  serve::ScanResult b = runner.Scan(with_inf);
+  ASSERT_EQ(a.windows, b.windows);
+  ExpectBitwiseEqual(b, a, "+-Inf vs NaN readings");
+  for (int64_t t = 0; t < b.detection.numel(); ++t) {
+    ASSERT_TRUE(std::isfinite(b.detection.at(t))) << "detection t=" << t;
+    ASSERT_TRUE(std::isfinite(b.status.at(t))) << "status t=" << t;
+    ASSERT_TRUE(std::isfinite(b.power.at(t))) << "power t=" << t;
+  }
+}
+
 TEST(WindowMathTest, GridHelpersAgreeWithComputedOffsets) {
   // The session math and the one-shot window plan must share one source
   // of truth: grid count + tail predicate fully determine the offsets.
