@@ -11,6 +11,7 @@
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "core/resnet.h"
+#include "nn/gemm.h"
 
 namespace camal {
 namespace {
@@ -94,6 +95,10 @@ int Run() {
   // ----------------------------------------------------------------------
   std::printf("\nInference throughput — training Forward (before) vs "
               "batched ForwardInference (after)\n");
+  // The GEMM tier dispatch picked on this host, so the throughput numbers
+  // (and the CI artifact) say which kernel they measured.
+  const std::string gemm_tier = nn::GemmTierName();
+  std::printf("GEMM/conv kernel tier: %s\n", gemm_tier.c_str());
 
   // Batch 32 in every mode: serving batches are what the runtime is
   // sized for, and smaller batches under-amortize per-batch costs on the
@@ -169,6 +174,7 @@ int Run() {
       "BENCH_table2.json",
       std::string("{\n  \"bench\": \"table2_complexity\",\n") +
           "  \"mode\": \"" + eval::BenchModeName(params.mode) + "\"," +
+          "\n  \"gemm_tier\": \"" + gemm_tier + "\"," +
           "\n  \"batch\": " + FmtInt(batch) +
           ",\n  \"window_length\": " + FmtInt(len) +
           ",\n  \"rows\": [" + json_rows + "\n  ]\n}\n");

@@ -26,9 +26,9 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   float* d = g.data();
   const float* in = input_.data();
-  for (int64_t i = 0; i < g.numel(); ++i) {
-    if (in[i] <= 0.0f) d[i] = 0.0f;
-  }
+  // A select, not a conditional store, so the loop vectorizes: a NaN input
+  // keeps its gradient (NaN <= 0 is false) and -0.0 zeroes it.
+  for (int64_t i = 0; i < g.numel(); ++i) d[i] = in[i] <= 0.0f ? 0.0f : d[i];
   return g;
 }
 

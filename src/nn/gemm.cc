@@ -1,13 +1,18 @@
 #include "nn/gemm.h"
 
+#include <utility>
+
 namespace camal::nn {
 namespace internal {
 
 #define CAMAL_GEMM_IMPL GemmEpilogueGeneric
-#define CAMAL_GEMM_CONV_IMPL ConvGemmEpilogueGeneric
 #include "nn/gemm_tile.inc"
-#undef CAMAL_GEMM_CONV_IMPL
 #undef CAMAL_GEMM_IMPL
+
+void ConvGemmEpilogueGeneric(const float* w, const float* xpad, float* y,
+                             const ConvGemmParams& p) {
+  ConvGemmTiles<ConvTemplateKernel>(w, xpad, y, p);
+}
 
 bool HasAvx2Gemm() {
 #if defined(CAMAL_GEMM_HAVE_AVX2)
@@ -53,6 +58,12 @@ bool ConvGemmSupportsPool(int64_t pool_size) {
   // and remainder epilogs may contract floating point differently, so
   // only an identical decomposition guarantees identical bits).
   return pool_size >= 2 && pool_size <= 16 && 16 % pool_size == 0;
+}
+
+const char* GemmTierName() {
+  if (internal::HasAvx512Gemm()) return "avx512";
+  if (internal::HasAvx2Gemm()) return "avx2";
+  return "generic";
 }
 
 void ConvGemmEpilogue(const float* w, const float* xpad, float* y,

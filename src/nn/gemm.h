@@ -18,9 +18,9 @@ namespace camal::nn {
 /// epilogue is what lets Conv -> BatchNorm -> ReLU blocks collapse into
 /// one pass over the output.
 ///
-/// Dispatches at runtime to an AVX2+FMA micro-kernel when the host CPU
-/// supports it (compiled separately; see gemm_avx2.cc), otherwise to a
-/// portable register-blocked kernel.
+/// Dispatches at runtime to the AVX-512 or AVX2+FMA instance of the tile
+/// kernel when the host CPU supports it (each compiled separately; see
+/// gemm_avx512.cc / gemm_avx2.cc), otherwise to the portable instance.
 void GemmEpilogue(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n, const float* row_scale,
                   const float* row_shift, bool relu);
@@ -66,21 +66,29 @@ inline int64_t ConvGemmOutputLength(const ConvGemmParams& p) {
   return (p.lpad - (p.dilation * (p.kernel - 1) + 1)) / p.stride + 1;
 }
 
-/// True when the tile kernels of every dispatch tier can fuse a pool of
-/// this window (it must divide the narrowest tile width). Unsupported
-/// windows still compute correctly but run on the scalar edge path, so
-/// callers should fuse only when this holds.
+/// True when every dispatch tier can fuse a pool of this window with
+/// results bitwise-equal to a separate pool (the window must divide the
+/// narrowest tile width, 16). Other windows still compute correctly, but
+/// on a narrowed tile decomposition that is only rounding-close to
+/// conv-then-pool, so callers should fuse only when this holds.
 bool ConvGemmSupportsPool(int64_t pool_size);
 
 /// Strided/dilated 1-D convolution of one sample as an implicit-im2col
 /// GEMM with the same epilogue as GemmEpilogue plus an optional fused
 /// non-overlapping pool (see ConvGemmParams). The column matrix is read
 /// directly out of xpad instead of being materialized. Per output scalar,
-/// k accumulates in (ci, kk) order in every tile/edge/dispatch variant, so
-/// results are independent of batch composition and tile placement.
-/// Same runtime CPU dispatch as GemmEpilogue.
+/// k accumulates in (ci, kk) order in every tile and dispatch tier, so
+/// results are independent of batch composition; for stride 1 (and any
+/// stride on the portable tier) they are also independent of tile
+/// placement, i.e. of the output length. Same runtime CPU dispatch as
+/// GemmEpilogue; stride 1 runs on register-resident intrinsics tiles on
+/// the SIMD tiers (see gemm_tile.inc).
 void ConvGemmEpilogue(const float* w, const float* xpad, float* y,
                       const ConvGemmParams& p);
+
+/// The tier ConvGemmEpilogue / GemmEpilogue dispatch to on this host:
+/// "avx512", "avx2" or "generic".
+const char* GemmTierName();
 
 namespace internal {
 
@@ -92,6 +100,8 @@ void GemmEpilogueGeneric(const float* a, const float* b, float* c, int64_t m,
 void ConvGemmEpilogueGeneric(const float* w, const float* xpad, float* y,
                              const ConvGemmParams& p);
 
+/// Conv instances of the SIMD tiers; only callable when HasAvx2Gemm() /
+/// HasAvx512Gemm() is true.
 void ConvGemmEpilogueAvx2(const float* w, const float* xpad, float* y,
                           const ConvGemmParams& p);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/ensemble.h"
@@ -8,6 +10,7 @@
 #include "nn/activations.h"
 #include "nn/batchnorm1d.h"
 #include "nn/conv1d.h"
+#include "nn/gemm.h"
 #include "nn/linear.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
@@ -372,6 +375,287 @@ TEST(EnsembleInferenceTest, BatchedProbabilityMatchesTrainingPath) {
   nn::Tensor reference = ensemble.DetectProbability(x);
   nn::Tensor batched = ensemble.DetectProbabilityBatched(x);
   EXPECT_LT(MaxAbsDiff(reference, batched), 1e-4);
+}
+
+// ---------------------------------------------------------------------------
+// The conv GEMM's dispatch tiers, called directly: ConvGemmEpilogue runs
+// only the widest tier the host supports, so without these an AVX-512 host
+// never executes the AVX2 or portable conv kernels.
+// ---------------------------------------------------------------------------
+
+using ConvTierFn = void (*)(const float*, const float*, float*,
+                            const nn::ConvGemmParams&);
+
+struct ConvTier {
+  const char* name;
+  ConvTierFn fn;
+};
+
+// The tiers this host can run, widest last.
+std::vector<ConvTier> AvailableConvTiers() {
+  std::vector<ConvTier> tiers = {
+      {"generic", nn::internal::ConvGemmEpilogueGeneric}};
+  if (nn::internal::HasAvx2Gemm()) {
+    tiers.push_back({"avx2", nn::internal::ConvGemmEpilogueAvx2});
+  }
+  if (nn::internal::HasAvx512Gemm()) {
+    tiers.push_back({"avx512", nn::internal::ConvGemmEpilogueAvx512});
+  }
+  return tiers;
+}
+
+// Sample 0 of x (N, C, L) zero-padded by `padding` on both sides: the
+// kernels' xpad.
+std::vector<float> PadSample(const nn::Tensor& x, int64_t padding) {
+  const int64_t cin = x.dim(1), lin = x.dim(2), lpad = lin + 2 * padding;
+  std::vector<float> xpad(static_cast<size_t>(cin * lpad), 0.0f);
+  for (int64_t ci = 0; ci < cin; ++ci) {
+    for (int64_t t = 0; t < lin; ++t) {
+      xpad[ci * lpad + padding + t] = x.at3(0, ci, t);
+    }
+  }
+  return xpad;
+}
+
+TEST(ConvGemmTierTest, EveryTierMatchesReferenceConv) {
+  // The Conv1dInferenceTest geometries plus output-channel counts that
+  // leave row remainders after 8- and 4-row bands, each under four
+  // epilogues: plain, scale/shift + ReLU, and fused max / average pools.
+  Rng rng(37);
+  struct Geometry {
+    int64_t cin, cout, k, stride, padding, dilation;
+  };
+  struct Epilogue {
+    bool affine, relu;
+    nn::ConvPool pool;
+    int64_t pool_size;
+  };
+  const Epilogue epilogues[] = {{false, false, nn::ConvPool::kNone, 1},
+                                {true, true, nn::ConvPool::kNone, 1},
+                                {true, true, nn::ConvPool::kMax, 2},
+                                {false, true, nn::ConvPool::kAvg, 4}};
+  const std::vector<ConvTier> tiers = AvailableConvTiers();
+  for (const Geometry& g : {Geometry{1, 4, 7, 1, 3, 1},
+                            Geometry{3, 8, 5, 1, 2, 1},
+                            Geometry{4, 6, 3, 2, 1, 1},
+                            Geometry{2, 5, 3, 1, 2, 2},
+                            Geometry{8, 16, 1, 1, 0, 1},
+                            Geometry{5, 13, 5, 1, 2, 1},
+                            Geometry{16, 21, 3, 1, 1, 1},
+                            Geometry{32, 32, 5, 1, 2, 1},
+                            Geometry{3, 11, 4, 2, 2, 2}}) {
+    nn::Conv1dOptions opt;
+    opt.in_channels = g.cin;
+    opt.out_channels = g.cout;
+    opt.kernel_size = g.k;
+    opt.stride = g.stride;
+    opt.padding = g.padding;
+    opt.dilation = g.dilation;
+    opt.bias = false;
+    nn::Conv1d conv(opt, &rng);
+    std::vector<float> scale(static_cast<size_t>(g.cout));
+    std::vector<float> shift(static_cast<size_t>(g.cout));
+    for (int64_t c = 0; c < g.cout; ++c) {
+      scale[c] = static_cast<float>(rng.Uniform(0.5, 1.5));
+      shift[c] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+    }
+    for (int64_t lin : {40, 37, 128}) {
+      nn::Tensor x = RandomTensor({1, g.cin, lin}, &rng);
+      const nn::Tensor ref = testing::ReferenceConvForward(&conv, x);
+      const int64_t lout = ref.dim(2);
+      const std::vector<float> xpad = PadSample(x, g.padding);
+      for (const Epilogue& e : epilogues) {
+        nn::ConvGemmParams p;
+        p.cout = g.cout;
+        p.cin = g.cin;
+        p.kernel = g.k;
+        p.lpad = lin + 2 * g.padding;
+        p.stride = g.stride;
+        p.dilation = g.dilation;
+        p.pool = e.pool;
+        p.pool_size = e.pool_size;
+        p.row_scale = e.affine ? scale.data() : nullptr;
+        p.row_shift = e.affine ? shift.data() : nullptr;
+        p.relu = e.relu;
+        ASSERT_EQ(nn::ConvGemmOutputLength(p), lout);
+        // Reference epilogue and pool on the direct-loop conv.
+        const int64_t pw = e.pool_size;
+        const int64_t lpool = lout / pw;
+        std::vector<float> want(static_cast<size_t>(g.cout * lpool));
+        for (int64_t c = 0; c < g.cout; ++c) {
+          for (int64_t o = 0; o < lpool; ++o) {
+            float best = -std::numeric_limits<float>::infinity();
+            float sum = 0.0f;
+            for (int64_t r = 0; r < pw; ++r) {
+              float v = ref.at3(0, c, o * pw + r);
+              if (e.affine) v = scale[c] * v + shift[c];
+              if (e.relu && v < 0.0f) v = 0.0f;
+              best = std::max(best, v);
+              sum += v;
+            }
+            want[c * lpool + o] =
+                e.pool == nn::ConvPool::kMax ? best : sum / pw;
+          }
+        }
+        for (const ConvTier& tier : tiers) {
+          std::vector<float> got(want.size(), -1.0f);
+          tier.fn(conv.weight().value.data(), xpad.data(), got.data(), p);
+          double max_diff = 0.0;
+          for (size_t i = 0; i < want.size(); ++i) {
+            max_diff = std::max(
+                max_diff, std::abs(static_cast<double>(got[i]) - want[i]));
+          }
+          EXPECT_LT(max_diff, 1e-4)
+              << tier.name << " cin=" << g.cin << " cout=" << g.cout
+              << " k=" << g.k << " stride=" << g.stride
+              << " dil=" << g.dilation << " lin=" << lin
+              << " pool=" << static_cast<int>(e.pool) << " relu=" << e.relu;
+        }
+      }
+    }
+  }
+
+  // Exact edge values: weights in {-1, 0, 1} times inputs in {0, +-Inf,
+  // small integers} make every product and sum exact, so the expected
+  // outputs follow from plain scalar arithmetic — +-Inf, NaN (Inf - Inf,
+  // 0 * Inf), and -0.0 from a negative scale times a zero sum plus a -0.0
+  // shift — and the fused ReLU must give them bitwise as `v < 0 ? 0 : v`.
+  // 13 rows (every weight pair, then repeats) x 40 columns cover the 8-,
+  // 4- and 1-row bands and full plus partial column tiles on every tier.
+  const float inf = std::numeric_limits<float>::infinity();
+  const int64_t cin = 2, cout = 13, kernel = 1, lpad = 40;
+  const int64_t lout = lpad;
+  std::vector<float> w(static_cast<size_t>(cout * cin));
+  for (int64_t c = 0; c < cout; ++c) {
+    w[c * cin] = static_cast<float>(c % 3 - 1);
+    w[c * cin + 1] = static_cast<float>(c / 3 % 3 - 1);
+  }
+  std::vector<float> xpad(static_cast<size_t>(cin * lpad));
+  for (int64_t j = 0; j < lpad; ++j) {
+    float x0 = 0.0f, x1 = 0.0f;  // j % 4 == 0: a zero sum
+    if (j % 4 == 1) {
+      x0 = inf;
+      x1 = 3.0f;
+    } else if (j % 4 == 2) {
+      x0 = inf;
+      x1 = -inf;
+    } else if (j % 4 == 3) {
+      x0 = static_cast<float>(j % 7 - 3);
+      x1 = 2.0f;
+    }
+    xpad[j] = x0;
+    xpad[lpad + j] = x1;
+  }
+  std::vector<float> scale(cout), shift(cout);
+  for (int64_t c = 0; c < cout; ++c) {
+    scale[c] = c % 2 == 0 ? 1.0f : -2.0f;
+    shift[c] = c % 4 < 2 ? -0.0f : 0.5f;
+  }
+  std::vector<float> want(static_cast<size_t>(cout * lout));
+  bool saw_nan = false, saw_neg_zero = false, saw_inf = false;
+  for (int64_t c = 0; c < cout; ++c) {
+    for (int64_t j = 0; j < lout; ++j) {
+      float acc = 0.0f;
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        for (int64_t kk = 0; kk < kernel; ++kk) {
+          acc += w[(c * cin + ci) * kernel + kk] * xpad[ci * lpad + j + kk];
+        }
+      }
+      float v = scale[c] * acc + shift[c];
+      v = v < 0.0f ? 0.0f : v;
+      saw_nan |= std::isnan(v);
+      saw_inf |= std::isinf(v);
+      saw_neg_zero |= v == 0.0f && std::signbit(v);
+      want[c * lout + j] = v;
+    }
+  }
+  ASSERT_TRUE(saw_nan && saw_inf && saw_neg_zero);
+  nn::ConvGemmParams p;
+  p.cout = cout;
+  p.cin = cin;
+  p.kernel = kernel;
+  p.lpad = lpad;
+  p.row_scale = scale.data();
+  p.row_shift = shift.data();
+  p.relu = true;
+  for (const ConvTier& tier : tiers) {
+    std::vector<float> got(want.size(), 7.0f);
+    tier.fn(w.data(), xpad.data(), got.data(), p);
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+          << tier.name << " row " << i / lout << " col " << i % lout
+          << ": got " << got[i] << " want " << want[i];
+    }
+  }
+  if (!nn::internal::HasAvx2Gemm() || !nn::internal::HasAvx512Gemm()) {
+    GTEST_SKIP() << "checked " << tiers.size()
+                 << " tier(s); the host lacks AVX2 or AVX-512";
+  }
+}
+
+TEST(ConvGemmTierTest, PartialTilesMatchFullTilesBitwise) {
+  // Per output scalar the stride-1 kernels run one FMA chain whatever the
+  // tile holding its column, so shortening the output (which moves
+  // columns from full tiles into a partial tail tile) must leave every
+  // shared column bitwise unchanged. Stride > 1 SIMD tiles are not
+  // covered: they run the portable template, whose partial tiles may
+  // contract differently from its full ones.
+  Rng rng(41);
+  const std::vector<ConvTier> tiers = AvailableConvTiers();
+  for (int64_t cin : {1, 3, 16}) {
+    for (int64_t cout : {1, 5, 13, 32}) {
+      for (int64_t kernel : {1, 3, 5}) {
+        for (int64_t dil : {1, 2}) {
+          for (int64_t lout : {128, 77, 40, 33}) {
+            const bool relu = (cin + cout + kernel) % 2 == 0;
+            const int64_t span = dil * (kernel - 1) + 1;
+            const int64_t lpad = lout - 1 + span;
+            nn::Tensor w = RandomTensor({cout, cin * kernel}, &rng);
+            nn::Tensor xpad = RandomTensor({cin, lpad}, &rng);
+            std::vector<float> scale(static_cast<size_t>(cout));
+            std::vector<float> shift(static_cast<size_t>(cout));
+            for (int64_t c = 0; c < cout; ++c) {
+              scale[c] = static_cast<float>(rng.Uniform(0.5, 1.5));
+              shift[c] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+            }
+            nn::ConvGemmParams p;
+            p.cout = cout;
+            p.cin = cin;
+            p.kernel = kernel;
+            p.lpad = lpad;
+            p.dilation = dil;
+            p.row_scale = scale.data();
+            p.row_shift = shift.data();
+            p.relu = relu;
+            for (const ConvTier& tier : tiers) {
+              std::vector<float> full(static_cast<size_t>(cout * lout));
+              tier.fn(w.data(), xpad.data(), full.data(), p);
+              for (int64_t d : {1, 5, 17}) {
+                const int64_t lshort = lout - d;
+                nn::ConvGemmParams q = p;
+                q.lpad = lpad - d;
+                std::vector<float> xshort(static_cast<size_t>(cin * q.lpad));
+                for (int64_t ci = 0; ci < cin; ++ci) {
+                  std::memcpy(&xshort[ci * q.lpad], xpad.data() + ci * lpad,
+                              sizeof(float) * q.lpad);
+                }
+                std::vector<float> part(static_cast<size_t>(cout * lshort));
+                tier.fn(w.data(), xshort.data(), part.data(), q);
+                for (int64_t c = 0; c < cout; ++c) {
+                  EXPECT_EQ(std::memcmp(&full[c * lout], &part[c * lshort],
+                                        sizeof(float) * lshort),
+                            0)
+                      << tier.name << " cin=" << cin << " cout=" << cout
+                      << " k=" << kernel << " dil=" << dil
+                      << " lout=" << lout << " d=" << d << " row " << c;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "nn/activations.h"
 #include "nn/batchnorm1d.h"
@@ -123,6 +124,19 @@ TEST(ReluTest, ClampsNegativesForwardAndBackward) {
   EXPECT_EQ(g.at(0), 0.0f);
   EXPECT_EQ(g.at(1), 0.0f);  // gradient at exactly 0 defined as 0
   EXPECT_EQ(g.at(2), 1.0f);
+}
+
+TEST(ReluTest, BackwardKeepsNanInputGradientAndZeroesNegativeZero) {
+  // The mask is `input <= 0`: a NaN input compares false and passes its
+  // gradient through; -0.0 compares true (equal to 0) and is zeroed.
+  ReLU relu;
+  relu.Forward(Tensor::FromVector(
+      {std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, 5.0f}));
+  Tensor g = relu.Backward(Tensor::FromVector({2, 3, 4, 6}));
+  EXPECT_EQ(g.at(0), 2.0f);
+  EXPECT_EQ(g.at(1), 0.0f);
+  EXPECT_EQ(g.at(2), 0.0f);
+  EXPECT_EQ(g.at(3), 6.0f);
 }
 
 TEST(SigmoidTest, KnownValues) {
