@@ -1,6 +1,8 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -231,15 +233,34 @@ nn::Tensor CamalEnsemble::MeanClassOneProbability(const nn::Tensor& inputs,
   CAMAL_CHECK(!members_.empty());
   const int64_t n = inputs.dim(0);
   nn::Tensor prob({n});
+  // Members voting on each window. A member whose logits overflowed to
+  // +-Inf or NaN — possible only on readings far outside any physical
+  // range — has a NaN softmax there and abstains; a window every member
+  // abstains from reads 0 (undetected). Finite windows average all members.
+  std::vector<int32_t> voters(static_cast<size_t>(n), 0);
   for (auto& member : members_) {
     member.model->SetTraining(false);
     nn::Tensor logits = use_inference_path
                             ? member.model->ForwardInference(inputs)
                             : member.model->Forward(inputs);
     nn::Tensor p = nn::Softmax(logits);
-    for (int64_t i = 0; i < n; ++i) prob.at(i) += p.at2(i, 1);
+    for (int64_t i = 0; i < n; ++i) {
+      const float q = p.at2(i, 1);
+      if (std::isnan(q)) continue;
+      prob.at(i) += q;
+      ++voters[static_cast<size_t>(i)];
+    }
   }
-  prob.ScaleInPlace(1.0f / static_cast<float>(members_.size()));
+  const int32_t all = static_cast<int32_t>(members_.size());
+  const float inv_all = 1.0f / static_cast<float>(all);
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t v = voters[static_cast<size_t>(i)];
+    if (v == all) {
+      prob.at(i) *= inv_all;
+    } else if (v > 0) {
+      prob.at(i) *= 1.0f / static_cast<float>(v);
+    }
+  }
   return prob;
 }
 

@@ -94,7 +94,11 @@ class CamalEnsemble {
 
   /// Ensemble detection probability (step 1 of §IV-B): the mean of member
   /// class-1 softmax probabilities, shape (N) for inputs (N, C, L).
-  /// Member forward passes also cache the feature maps used for CAMs.
+  /// A member whose logits overflow on a window (NaN softmax; only
+  /// readings far outside any physical range do this) abstains from that
+  /// window's mean, and a window with no voting member reads 0, so the
+  /// probability is always in [0, 1]. Member forward passes also cache
+  /// the feature maps used for CAMs.
   nn::Tensor DetectProbability(const nn::Tensor& inputs);
 
   /// Same probability through the batched inference runtime: every member

@@ -38,9 +38,10 @@ Status BatchRunner::ValidateOptions(const BatchRunnerOptions& options) {
   return Status::OK();
 }
 
-std::vector<ScanResult> BatchRunner::RunScan(
-    const std::vector<data::SeriesView>& series,
-    const std::vector<ScanVotes*>& votes) {
+void BatchRunner::RunScan(const std::vector<data::SeriesView>& series,
+                          const std::vector<ScanVotes*>& votes,
+                          const ScanDelivery& on_result) {
+  Stopwatch pass;
   const size_t n = series.size();
   const int64_t l = options_.stream.window_length;
   const int64_t stride = options_.stream.stride;
@@ -108,27 +109,46 @@ std::vector<ScanResult> BatchRunner::RunScan(
   // Feed phase: every series' windows through shared GEMM batches —
   // batches fill across series boundaries, so the last windows of one
   // household (or a handful of tail-sized appends) share a forward pass
-  // with the next instead of running nearly empty.
-  double seconds = 0.0;
-  if (!refs.empty()) {
-    MultiWindowStream stream(std::move(feed), options_.stream,
-                             std::move(refs));
-    Stopwatch watch;
-    int64_t b = 0;
-    while ((b = stream.NextBatch(&batch_, &batch_refs_)) > 0) {
-      core::LocalizationResult loc = localizer_.Localize(batch_);
-      StitchBatch(loc, batch_refs_, b, votes, &results);
+  // with the next instead of running nearly empty. Each series finalizes
+  // on its own and is delivered right after the batch holding its last
+  // window: it never waits for the windows of the series planned after it.
+  //
+  // The series one batch completes are all finalized before any of them
+  // is delivered: delivering an append can hand its session's next
+  // append to an idle worker, and handoffs trickling out between
+  // finalizes let that worker start a pass for one append instead of
+  // draining them together.
+  MultiWindowStream stream(std::move(feed), options_.stream, std::move(refs));
+  std::vector<int64_t> planned(n);
+  std::vector<size_t> done;
+  const auto deliver_done = [&] {
+    for (size_t i : done) {
+      Finalize(series[i], *votes[i], overlays_[i], &results[i]);
     }
-    seconds = watch.ElapsedSeconds();
-  }
-
-  // Each series finalizes independently. The pass was shared, so each
-  // result reports its wall time (see ScanResult docs).
+    for (size_t i : done) {
+      results[i].seconds = pass.ElapsedSeconds();
+      on_result(i, std::move(results[i]));
+    }
+    done.clear();
+  };
   for (size_t i = 0; i < n; ++i) {
-    results[i].seconds = seconds;
-    Finalize(series[i], *votes[i], overlays_[i], &results[i]);
+    const int32_t entry = static_cast<int32_t>(2 * i);
+    planned[i] = stream.NumWindowsOf(entry) + stream.NumWindowsOf(entry + 1);
+    if (planned[i] == 0) done.push_back(i);  // nothing to feed: final
   }
-  return results;
+  deliver_done();
+  // Windows are planned series by series, so series complete in order and
+  // one cursor finds every series the last batch finished.
+  size_t next = 0;
+  int64_t b = 0;
+  while ((b = stream.NextBatch(&batch_, &batch_refs_)) > 0) {
+    core::LocalizationResult loc = localizer_.Localize(batch_);
+    StitchBatch(loc, batch_refs_, b, votes, &results);
+    for (; next < n && results[next].windows == planned[next]; ++next) {
+      if (planned[next] > 0) done.push_back(next);
+    }
+    deliver_done();
+  }
 }
 
 void BatchRunner::StitchBatch(const core::LocalizationResult& loc,
@@ -211,8 +231,8 @@ void BatchRunner::Finalize(data::SeriesView aggregate_watts,
   }
 }
 
-std::vector<ScanResult> BatchRunner::ScanGroup(
-    const std::vector<ScanJob>& jobs) {
+void BatchRunner::ScanGroup(const std::vector<ScanJob>& jobs,
+                            const ScanDelivery& on_result) {
   // A one-shot job is an append of the whole series to empty votes. Its
   // votes are runner scratch (cleared, capacity kept) and its view goes
   // straight to the stream, so no caller series is copied. An append job
@@ -238,17 +258,24 @@ std::vector<ScanResult> BatchRunner::ScanGroup(
       votes[i] = &state->votes;
     }
   }
-  return RunScan(series, votes);
+  RunScan(series, votes, on_result);
+}
+
+ScanResult BatchRunner::ScanOne(ScanJob job) {
+  ScanResult result;
+  ScanGroup({job},
+            [&result](size_t, ScanResult&& r) { result = std::move(r); });
+  return result;
 }
 
 ScanResult BatchRunner::Scan(data::SeriesView aggregate_watts) {
-  return std::move(ScanGroup({ScanJob{aggregate_watts, nullptr}}).front());
+  return ScanOne(ScanJob{aggregate_watts, nullptr});
 }
 
 ScanResult BatchRunner::AppendScan(SessionScanState* state,
                                    data::SeriesView delta) {
   CAMAL_CHECK(state != nullptr);
-  return std::move(ScanGroup({ScanJob{delta, state}}).front());
+  return ScanOne(ScanJob{delta, state});
 }
 
 }  // namespace camal::serve

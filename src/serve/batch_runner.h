@@ -1,7 +1,9 @@
 #ifndef CAMAL_SERVE_BATCH_RUNNER_H_
 #define CAMAL_SERVE_BATCH_RUNNER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -30,13 +32,16 @@ struct ScanResult {
   /// gap windows_full - windows is the feed work the persisted stitch
   /// state saved.
   int64_t windows_full = 0;
-  /// Wall-clock inference time of the scan. For a job served inside a
-  /// coalesced ScanGroup this is the shared pass's time (the group was
-  /// inferred together, so its members are not separable).
+  /// Wall-clock time from the start of the scan pass to this job's
+  /// delivery: planning, the feed batches up to the one holding the
+  /// job's last window, and its finalize. For a lone scan that is the
+  /// whole scan; inside a coalesced ScanGroup it is the pass time the job
+  /// waited for, so earlier jobs of a group report less than later ones.
   double seconds = 0.0;
   /// End-to-end request latency when served through serve::Service:
-  /// admission-queue wait plus the scan itself. 0 for direct
-  /// BatchRunner::Scan calls, which never queue.
+  /// admission to delivery. latency_seconds - seconds is the time spent
+  /// before the pass started (the queue wait). 0 for direct BatchRunner
+  /// calls, which never queue.
   double latency_seconds = 0.0;
 
   /// Windows per second of the scan (0 when timing was too fast to resolve).
@@ -88,6 +93,10 @@ struct ScanJob {
   SessionScanState* session = nullptr;
 };
 
+/// Receives one finished job of a BatchRunner::ScanGroup: its index in
+/// the group and its final result.
+using ScanDelivery = std::function<void(size_t job, ScanResult&& result)>;
+
 /// End-to-end batched serving for one appliance: slices a household
 /// aggregate into overlapping windows (MultiWindowStream), pushes them
 /// through the CamAL localization pipeline batch by batch via the
@@ -104,10 +113,11 @@ struct ScanJob {
 /// view plus reused scratch votes, an append job its session's committed
 /// series plus the session's persisted votes. Either way the windows not
 /// yet voted — grid windows into the votes, the tail or pad window into a
-/// transient overlay — stream through shared GEMM batches, then each
-/// series finalizes on its own. Because per-window forward results do not
-/// depend on which other windows share a batch, every job of a coalesced
-/// group gets results bitwise-identical to a lone scan of it.
+/// transient overlay — stream through shared GEMM batches, and each
+/// series finalizes on its own once its last window is stitched. Because
+/// per-window forward results do not depend on which other windows share
+/// a batch, every job of a coalesced group gets results bitwise-identical
+/// to a lone scan of it.
 class BatchRunner {
  public:
   /// \p ensemble is borrowed and must outlive the runner.
@@ -138,15 +148,29 @@ class BatchRunner {
 
   /// Coalesced scan of a group of jobs — one-shot scans and session
   /// appends alike — through shared GEMM batches: one feed phase carries
-  /// every job's windows (batches fill across job boundaries, so small
-  /// households and tail-sized appends no longer mean underfilled
-  /// batches), then each job stitches and finalizes on its own.
-  /// results[i] is bitwise-identical to a lone Scan(jobs[i].readings) or
-  /// AppendScan(jobs[i].session, jobs[i].readings). One-shot jobs may
-  /// repeat or be empty; append jobs must name distinct sessions, and no
-  /// job's readings may view a session series the group appends to (it
-  /// may reallocate). Not thread-safe, like Scan.
-  std::vector<ScanResult> ScanGroup(const std::vector<ScanJob>& jobs);
+  /// every job's windows in job order (batches fill across job
+  /// boundaries, so small households and tail-sized appends no longer
+  /// mean underfilled batches), and each job stitches and finalizes on
+  /// its own. Every job is handed to \p on_result exactly once, as soon
+  /// as the batch holding its last window is stitched, so a job never
+  /// waits for the windows of the jobs after it. Delivery order: jobs
+  /// with nothing to feed (an empty one-shot or an empty append to a
+  /// still-empty session) before the feed starts, then the rest in job
+  /// order. The result for job i is bitwise-identical to a lone
+  /// Scan(jobs[i].readings) or AppendScan(jobs[i].session,
+  /// jobs[i].readings): the batches, and therefore every output bit, do
+  /// not depend on when results are handed out.
+  ///
+  /// Once job i is delivered the pass never touches its readings, its
+  /// session state or its votes again, so \p on_result may hand the
+  /// session (or the readings' storage) to another thread while the pass
+  /// goes on. One-shot jobs may repeat or be empty; append jobs must name
+  /// distinct sessions, and no job's readings may view a session series
+  /// the group appends to (it may reallocate). If the scan throws, the
+  /// jobs already delivered are final and the rest get no result. Not
+  /// thread-safe, like Scan.
+  void ScanGroup(const std::vector<ScanJob>& jobs,
+                 const ScanDelivery& on_result);
 
   /// Validates scan options without constructing a runner — the Status
   /// mirror of the constructor's programmer-error CHECKs, for callers
@@ -175,12 +199,24 @@ class BatchRunner {
   /// to series[i], feeds exactly the windows it lacks — grid windows from
   /// votes[i]->grid_windows upward plus the tail or pad window — through
   /// shared batches, and finalizes each series (grid votes first, overlay
-  /// last). Views must stay valid for the call.
-  std::vector<ScanResult> RunScan(const std::vector<data::SeriesView>& series,
-                                  const std::vector<ScanVotes*>& votes);
+  /// last), handing it to \p on_result right after the batch holding its
+  /// last window is stitched (see ScanGroup for the order).
+  ///
+  /// Session invariant: after series i is delivered, RunScan never reads
+  /// series[i] nor touches votes[i] or its overlay again. The stream reads
+  /// an entry only while emitting its windows, and every window of series
+  /// i was emitted before its delivery. A view (and a session's votes) is
+  /// therefore only required to stay valid until its own delivery.
+  void RunScan(const std::vector<data::SeriesView>& series,
+               const std::vector<ScanVotes*>& votes,
+               const ScanDelivery& on_result);
 
-  /// Folds one localized batch into its owners' votes or overlays. Stream
-  /// entry 2i feeds series i's grid windows, 2i + 1 its overlay window.
+  /// A one-job ScanGroup: Scan and AppendScan.
+  ScanResult ScanOne(ScanJob job);
+
+  /// Folds one localized batch into its owners' votes or overlays and
+  /// counts each owner's stitched windows. Stream entry 2i feeds series
+  /// i's grid windows, 2i + 1 its overlay window.
   void StitchBatch(const core::LocalizationResult& loc,
                    const std::vector<WindowRef>& refs, int64_t batch,
                    const std::vector<ScanVotes*>& votes,

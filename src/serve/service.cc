@@ -181,11 +181,11 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
   if (live.empty()) return;
   tasks.swap(live);
 
-  // Scan inside try; fulfill promises outside, so each promise is resolved
-  // exactly once whatever happens. Before this guard a throwing scan left
-  // every promise of the group unfulfilled — the submitters blocked
-  // forever on their futures — and unwound the worker thread for good.
-  std::vector<ScanResult> results;
+  // Each task is delivered from inside the pass, the moment the batch
+  // holding its last window is stitched. A throwing scan fails only the
+  // tasks not yet delivered, so each promise is resolved exactly once
+  // whatever happens and the worker lives on.
+  std::vector<bool> delivered(tasks.size(), false);
   Status failure = Status::OK();
   try {
     if (options_.fault_injector != nullptr) {
@@ -202,12 +202,41 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
           task->session != nullptr ? &task->session->scan_state_ : nullptr;
       jobs.push_back(ScanJob{RequestSeries(task->request), state});
     }
-    results = runner->ScanGroup(jobs);
+    // Counted before the pass: a caller woken by a group's last future
+    // must already see the group in the stats.
     if (tasks.size() > 1) {
       coalesced_groups_.fetch_add(1, std::memory_order_relaxed);
       coalesced_requests_.fetch_add(static_cast<int64_t>(tasks.size()),
                                     std::memory_order_relaxed);
     }
+    runner->ScanGroup(jobs, [&](size_t i, ScanResult&& result) {
+      QueuedScan* task = tasks[i];
+      if (task->session != nullptr) {
+        session_appends_.fetch_add(1, std::memory_order_relaxed);
+        appended_readings_.fetch_add(RequestSeries(task->request).size(),
+                                     std::memory_order_relaxed);
+        windows_saved_.fetch_add(result.windows_full - result.windows,
+                                 std::memory_order_relaxed);
+        // Commit the session (readings gauge, next parked append) BEFORE
+        // the promise resolves: a caller that wakes on the future must
+        // see session->readings() reflect this append. The next append
+        // may start on another worker while this pass goes on; the pass
+        // no longer touches this session (BatchRunner::ScanGroup). Moving
+        // the handle out drops this worker's reference at delivery, not
+        // at the end of the pass.
+        std::shared_ptr<Session> session = std::move(task->session);
+        FinishAppend(session);
+      }
+      result.latency_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        task->admitted)
+              .count();
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      completed_by_priority_[static_cast<size_t>(task->request.priority)]
+          .fetch_add(1, std::memory_order_relaxed);
+      task->promise.set_value(std::move(result));
+      delivered[i] = true;
+    });
   } catch (const std::exception& e) {
     failure = Status::Internal(std::string("scan failed: ") + e.what());
   } catch (...) {
@@ -216,7 +245,9 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
 
   if (!failure.ok()) {
     std::vector<QueuedScan*> retriable;
-    for (QueuedScan* task : tasks) {
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      if (delivered[i]) continue;  // final before the fault
+      QueuedScan* task = tasks[i];
       if (task->session != nullptr) {
         // Appends never retry: the throwing scan may have half-updated
         // their sessions' stitch state, so a rerun could serve corrupt
@@ -275,31 +306,6 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
         requeue.promise.set_value(Result<ScanResult>(failure));
       }
     }
-    return;
-  }
-  const auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    QueuedScan* task = tasks[i];
-    ScanResult& result = results[i];
-    if (task->session != nullptr) {
-      session_appends_.fetch_add(1, std::memory_order_relaxed);
-      appended_readings_.fetch_add(RequestSeries(task->request).size(),
-                                   std::memory_order_relaxed);
-      windows_saved_.fetch_add(result.windows_full - result.windows,
-                               std::memory_order_relaxed);
-      // Commit the session (readings gauge, next parked append) BEFORE
-      // the promise resolves: a caller that wakes on the future must see
-      // session->readings() reflect this append. The task dies with the
-      // group, so pin the session first.
-      std::shared_ptr<Session> session = std::move(task->session);
-      FinishAppend(session);
-    }
-    result.latency_seconds =
-        std::chrono::duration<double>(now - task->admitted).count();
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    completed_by_priority_[static_cast<size_t>(task->request.priority)]
-        .fetch_add(1, std::memory_order_relaxed);
-    task->promise.set_value(std::move(result));
   }
 }
 

@@ -56,13 +56,15 @@ struct ServiceOptions {
   /// also drains up to coalesce_budget - 1 more waiting requests for the
   /// same appliance — one-shot scans and session appends alike — and
   /// serves the whole group through one shared-GEMM scan
-  /// (BatchRunner::ScanGroup), stitching and fulfilling each request's
-  /// future independently. Results are bitwise-identical to uncoalesced
-  /// scans; what changes is batch occupancy — a deep queue of small
-  /// households fills GEMM batches that per-request scans would run nearly
-  /// empty (Fig. 7c: ~7x at batch 32). <= 1 disables. Trade-off: a
-  /// drained request rides its group instead of a possibly idle other
-  /// worker, so latency-critical shallow-queue deployments may prefer 1.
+  /// (BatchRunner::ScanGroup), stitching each request independently and
+  /// resolving its future as soon as its own windows are stitched, not
+  /// when the group's last one is. Results are bitwise-identical to
+  /// uncoalesced scans; what changes is batch occupancy — a deep queue of
+  /// small households and tail-sized appends fills GEMM batches that
+  /// per-request scans would run nearly empty. <= 1 disables. Trade-off:
+  /// a drained request rides its group on one worker instead of a
+  /// possibly idle other worker, so latency-critical shallow-queue
+  /// deployments may prefer 1.
   int coalesce_budget = 8;
   /// Structured fault-injection seam (replaces the old bare
   /// pre_scan_hook): borrowed, must outlive the service. Each worker
@@ -112,9 +114,11 @@ struct ServiceStats {
   int64_t completed_high = 0;
   int64_t completed_normal = 0;
   int64_t completed_low = 0;
-  /// Coalescing telemetry: groups of >= 2 requests served through one
-  /// shared scan, and the requests inside them. Mean batch occupancy of
-  /// coalesced scans = coalesced_requests / coalesced_groups.
+  /// Coalescing telemetry: groups of >= 2 requests that entered one
+  /// shared scan, and the requests inside them (counted when the scan
+  /// starts, so a caller woken by a group's futures already sees them).
+  /// Mean batch occupancy of coalesced scans = coalesced_requests /
+  /// coalesced_groups.
   int64_t coalesced_groups = 0;
   int64_t coalesced_requests = 0;
   /// Streaming-session telemetry.
@@ -159,7 +163,8 @@ struct ServiceStats {
 /// per appliance over its own CamalEnsemble::Clone replica (members cache
 /// per-forward feature maps, so runners are never shared). When the queue
 /// runs deep, a worker coalesces same-appliance requests into one
-/// shared-GEMM scan (see ServiceOptions::coalesce_budget). Results are
+/// shared-GEMM scan and resolves each request as soon as its own windows
+/// are stitched (see ServiceOptions::coalesce_budget). Results are
 /// bitwise-identical to a sequential BatchRunner::Scan with the same
 /// options, regardless of which worker served the request or which
 /// requests shared its batches.
@@ -350,12 +355,18 @@ class Service {
   /// injection seam or a runner. The rest — one-shot scans and session
   /// appends, in admission order — run through ONE BatchRunner::ScanGroup
   /// call (a group never holds two appends of the same session — the
-  /// session serializer admits one at a time). Every task's promise is
-  /// resolved exactly once — with its ScanResult, or with kInternal if
-  /// the scan threw and retries are exhausted. A throwing scan closes the
-  /// affected sessions (their stitch state is suspect; appends never
-  /// retry) and re-enqueues one-shot tasks still inside
-  /// RetryPolicy::max_attempts after a bounded backoff.
+  /// session serializer admits one at a time). Each task is delivered
+  /// from inside the pass, as soon as its own windows are stitched: an
+  /// append commits its session (FinishAppend, which may hand the
+  /// session's next append to another worker while this pass goes on),
+  /// then latency_seconds is stamped (admission to delivery), the
+  /// completion counters tick and the promise resolves. Every task's
+  /// promise is resolved exactly once — with its ScanResult, or with
+  /// kInternal if the scan threw before delivering it and retries are
+  /// exhausted. A throwing scan closes the undelivered appends' sessions
+  /// (their stitch state is suspect; appends never retry) and re-enqueues
+  /// undelivered one-shot tasks still inside RetryPolicy::max_attempts
+  /// after a bounded backoff; tasks delivered before the fault stand.
   void ServeGroup(BatchRunner* runner, QueuedScan* first,
                   std::vector<QueuedScan>* extras);
 

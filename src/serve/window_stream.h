@@ -78,7 +78,11 @@ class MultiWindowStream {
   /// \p refs with the B (series, offset) pairs. Returns B; 0 when
   /// exhausted. \p inputs is reused in place when it already has the
   /// batch's shape (only the final short batch reallocates), so callers
-  /// should pass the same tensor every iteration.
+  /// should pass the same tensor every iteration. A series' storage is
+  /// read only while one of its windows is emitted: once its last window
+  /// is out, the stream never reads it again (until Reset), so the caller
+  /// may release or hand it off mid-stream — BatchRunner delivers each
+  /// job at that point.
   int64_t NextBatch(nn::Tensor* inputs, std::vector<WindowRef>* refs);
 
   /// Rewinds to the first window.

@@ -465,6 +465,22 @@ std::vector<serve::ScanJob> OneShotJobs(
   return jobs;
 }
 
+// Runs \p jobs through one ScanGroup pass and collects the delivered
+// results by job index; every job must be delivered exactly once.
+std::vector<serve::ScanResult> CollectGroup(
+    serve::BatchRunner* runner, const std::vector<serve::ScanJob>& jobs) {
+  std::vector<serve::ScanResult> results(jobs.size());
+  std::vector<int> deliveries(jobs.size(), 0);
+  runner->ScanGroup(jobs, [&](size_t i, serve::ScanResult&& result) {
+    ++deliveries[i];
+    results[i] = std::move(result);
+  });
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(deliveries[i], 1) << "job " << i;
+  }
+  return results;
+}
+
 TEST(BatchRunnerTest, ScanGroupMatchesLoneScansBitwise) {
   // The coalescing contract: one shared feed phase over several series —
   // batches filling across series boundaries — must reproduce every lone
@@ -488,7 +504,7 @@ TEST(BatchRunnerTest, ScanGroupMatchesLoneScansBitwise) {
   std::vector<data::SeriesView> views(cohort.begin(), cohort.end());
 
   std::vector<serve::ScanResult> group =
-      coalesced.ScanGroup(OneShotJobs(views));
+      CollectGroup(&coalesced, OneShotJobs(views));
   ASSERT_EQ(group.size(), cohort.size());
   for (size_t i = 0; i < cohort.size(); ++i) {
     serve::ScanResult expected = sequential.Scan(cohort[i]);
@@ -506,7 +522,7 @@ TEST(BatchRunnerTest, ScanGroupMatchesLoneScansBitwise) {
   // next: a second ScanGroup over a permuted group stays bitwise-equal.
   std::vector<data::SeriesView> reversed(views.rbegin(), views.rend());
   std::vector<serve::ScanResult> second =
-      coalesced.ScanGroup(OneShotJobs(reversed));
+      CollectGroup(&coalesced, OneShotJobs(reversed));
   for (size_t i = 0; i < reversed.size(); ++i) {
     serve::ScanResult expected = sequential.Scan(reversed[i]);
     ASSERT_EQ(second[i].windows, expected.windows) << "series " << i;
@@ -1862,7 +1878,7 @@ TEST(BatchRunnerTest, ScanGroupCoalescesDistinctSessionAppendsBitwise) {
                              chunks[s].end());
       jobs.push_back(serve::ScanJob{data::SeriesView(chunks[s]), &states[s]});
     }
-    std::vector<serve::ScanResult> got = incremental.ScanGroup(jobs);
+    std::vector<serve::ScanResult> got = CollectGroup(&incremental, jobs);
     ASSERT_EQ(got.size(), static_cast<size_t>(kSessions));
     for (int s = 0; s < kSessions; ++s) {
       serve::ScanResult want = reference.Scan(concatenated[s]);
@@ -1915,7 +1931,7 @@ TEST(BatchRunnerTest, ScanGroupMixesOneShotAndAppendJobsBitwise) {
       {data::SeriesView(delta_empty), &grouped_states[1]},
       {data::SeriesView(delta_short), &grouped_states[2]},
   };
-  std::vector<serve::ScanResult> got = grouped.ScanGroup(jobs);
+  std::vector<serve::ScanResult> got = CollectGroup(&grouped, jobs);
   ASSERT_EQ(got.size(), jobs.size());
 
   std::vector<serve::ScanResult> want;
@@ -1940,6 +1956,117 @@ TEST(BatchRunnerTest, ScanGroupMixesOneShotAndAppendJobsBitwise) {
     EXPECT_EQ(grouped_states[s].votes.cover, lone_states[s].votes.cover);
     EXPECT_EQ(grouped_states[s].votes.on_votes,
               lone_states[s].votes.on_votes);
+  }
+}
+
+TEST(BatchRunnerTest, ScanGroupDeliversEachJobWhenItsLastWindowIsStitched) {
+  // Request-level release: a job is handed out right after the batch
+  // holding its last window is stitched, not when the group's pass ends.
+  // Jobs with nothing to feed go first; the rest follow in job order. The
+  // batches are the same whenever results are handed out, so every
+  // result still equals a lone scan bit for bit.
+  core::CamalEnsemble ensemble = RandomEnsemble(81);
+  const serve::BatchRunnerOptions opt = SmallRunner(16, 8, 4, 700.0f);
+  serve::BatchRunner grouped(&ensemble, opt);
+  serve::BatchRunner lone(&ensemble, opt);
+
+  Rng rng(82);
+  const auto random_series = [&rng](int64_t len) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    return series;
+  };
+  const std::vector<float> history = random_series(40);
+  serve::SessionScanState grouped_state;
+  serve::SessionScanState lone_state;
+  (void)grouped.AppendScan(&grouped_state, history);
+  (void)lone.AppendScan(&lone_state, history);
+
+  // 130 samples: 15 grid windows plus a tail, four batches of 4.
+  const std::vector<float> scan_long = random_series(130);
+  const std::vector<float> scan_empty;
+  const std::vector<float> scan_short = random_series(20);
+  const std::vector<float> delta = random_series(11);
+  const std::vector<serve::ScanJob> jobs = {
+      {data::SeriesView(scan_long), nullptr},
+      {data::SeriesView(scan_empty), nullptr},
+      {data::SeriesView(scan_short), nullptr},
+      {data::SeriesView(delta), &grouped_state},
+  };
+  std::vector<size_t> order;
+  std::vector<serve::ScanResult> got(jobs.size());
+  std::vector<size_t> delivered_before_long;
+  grouped.ScanGroup(jobs, [&](size_t i, serve::ScanResult&& result) {
+    if (i == 0) delivered_before_long = order;
+    order.push_back(i);
+    got[i] = std::move(result);
+  });
+  ASSERT_EQ(order, (std::vector<size_t>{1, 0, 2, 3}));
+  // The long job was handed out while the jobs after it still waited.
+  EXPECT_EQ(delivered_before_long, (std::vector<size_t>{1}));
+  for (size_t k = 1; k < order.size(); ++k) {
+    EXPECT_GE(got[order[k]].seconds, got[order[k - 1]].seconds)
+        << "delivery " << k;
+  }
+
+  std::vector<serve::ScanResult> want;
+  want.push_back(lone.Scan(scan_long));
+  want.push_back(lone.Scan(scan_empty));
+  want.push_back(lone.Scan(scan_short));
+  want.push_back(lone.AppendScan(&lone_state, delta));
+  ASSERT_EQ(got[0].windows, 16);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const std::string label = "job " + std::to_string(i);
+    EXPECT_EQ(got[i].windows, want[i].windows) << label;
+    EXPECT_EQ(got[i].windows_full, want[i].windows_full) << label;
+    ExpectBitwiseEqual(got[i], want[i], label);
+  }
+  EXPECT_EQ(grouped_state.series, lone_state.series);
+  EXPECT_EQ(grouped_state.votes.prob_sum, lone_state.votes.prob_sum);
+}
+
+TEST(BatchRunnerTest, ExtremeFiniteReadingsGiveDefinedOutputs) {
+  // Finite readings far outside any physical range must still give
+  // defined outputs, whatever the input scale: detection a probability,
+  // status a vote, power inside [0, P_a]. Large magnitudes saturate every
+  // member's softmax (the ReLU/affine net is positively homogeneous) and
+  // scaled readings past float's range overflow to +-Inf inside the net.
+  core::CamalEnsemble ensemble = RandomEnsemble(83);
+  const float max = std::numeric_limits<float>::max();
+  const float power_w = 900.0f;
+  Rng rng(84);
+  for (float scale : {1000.0f, 1.0f, 1e-3f}) {
+    serve::BatchRunnerOptions opt = SmallRunner(16, 8, 4, power_w);
+    opt.stream.input_scale = scale;
+    serve::BatchRunner runner(&ensemble, opt);
+    for (float extreme : {1e20f, -1e20f, 3e38f, -3e38f, max, 1e-40f}) {
+      // A regular series with the extreme value sprinkled in, and one
+      // made of nothing else.
+      std::vector<float> mixed(72);
+      for (auto& v : mixed) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+      for (size_t t = 3; t < mixed.size(); t += 5) mixed[t] = extreme;
+      const std::vector<std::vector<float>> inputs = {
+          mixed, std::vector<float>(40, extreme)};
+      for (size_t k = 0; k < inputs.size(); ++k) {
+        const serve::ScanResult result = runner.Scan(inputs[k]);
+        const std::string label = "scale " + std::to_string(scale) +
+                                  " reading " + std::to_string(extreme) +
+                                  (k == 0 ? " mixed" : " constant");
+        ASSERT_EQ(result.detection.numel(),
+                  static_cast<int64_t>(inputs[k].size()));
+        for (int64_t t = 0; t < result.detection.numel(); ++t) {
+          const float d = result.detection.at(t);
+          const float s = result.status.at(t);
+          const float p = result.power.at(t);
+          ASSERT_TRUE(std::isfinite(d) && d >= 0.0f && d <= 1.0f)
+              << label << " detection " << d << " t=" << t;
+          ASSERT_TRUE(s == 0.0f || s == 1.0f)
+              << label << " status " << s << " t=" << t;
+          ASSERT_TRUE(std::isfinite(p) && p >= 0.0f && p <= power_w)
+              << label << " power " << p << " t=" << t;
+        }
+      }
+    }
   }
 }
 
@@ -2131,9 +2258,11 @@ TEST(ServiceTest, DistinctSessionAppendsCoalesceIntoSharedBatches) {
 TEST(ServiceTest, MixedScanAndAppendGroupSharesOnePassBitwise) {
   // One worker, parked inside a plug request; behind it interleaved
   // one-shot Submits and session appends for the same appliance queue up
-  // and dequeue as one group. The group must run as ONE shared pass —
-  // every result reports the same `seconds`, the pass's wall time — and
-  // each result must still match its lone reference bit for bit.
+  // and dequeue as one group. The group must run as ONE shared pass (the
+  // coalescing counters), each request delivered as its windows finish —
+  // `seconds`, the pass time up to delivery, never falls in admission
+  // order — and each result must still match its lone reference bit for
+  // bit.
   core::CamalEnsemble ensemble = RandomEnsemble(77);
   std::atomic<bool> release{false};
   FaultInjector injector;
@@ -2210,8 +2339,8 @@ TEST(ServiceTest, MixedScanAndAppendGroupSharesOnePassBitwise) {
   EXPECT_EQ(stats.coalesced_requests, 2 * kSessions);
   EXPECT_EQ(stats.failed, 0);
   for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].seconds, results[0].seconds)
-        << "request " << i << " ran in a separate pass";
+    EXPECT_GE(results[i].seconds, results[i - 1].seconds)
+        << "request " << i << " delivered before request " << i - 1;
   }
   service.Shutdown();
 
@@ -2229,6 +2358,176 @@ TEST(ServiceTest, MixedScanAndAppendGroupSharesOnePassBitwise) {
     EXPECT_EQ(appended.windows_full, want_append.windows);
     ExpectBitwiseEqual(appended, want_append, "append " + std::to_string(s));
   }
+}
+
+TEST(ServiceTest, CoalescedRequestsResolveAsTheirWindowsFinish) {
+  // One worker, parked inside a plug request; behind it three long
+  // one-shots queue up and dequeue as one group. Each must be delivered
+  // as soon as its own windows are stitched: `seconds`, the pass time up
+  // to delivery, strictly increases in admission order (a request that
+  // waited for the whole pass would report the same time as the last).
+  core::CamalEnsemble ensemble = RandomEnsemble(85);
+  std::atomic<bool> release{false};
+  FaultInjector injector;
+  injector.set_scan_hook([&](const std::string& household) {
+    if (household != "plug") return;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  serve::ServiceOptions service_opt;
+  service_opt.workers = 1;
+  service_opt.queue_capacity = 0;
+  service_opt.coalesce_budget = 8;
+  service_opt.fault_injector = &injector;
+  serve::Service service(service_opt);
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 800.0f);
+  ASSERT_TRUE(service.RegisterAppliance("kettle", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());
+
+  serve::ScanRequest plug;
+  plug.household_id = "plug";
+  plug.appliance = "kettle";
+  plug.owned_series = std::vector<float>(64, 500.0f);
+  std::future<Result<serve::ScanResult>> plug_future =
+      service.Submit(std::move(plug));
+  while (service.queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Rng rng(86);
+  constexpr int kRequests = 3;
+  std::vector<std::vector<float>> series(kRequests);
+  std::vector<std::future<Result<serve::ScanResult>>> futures;
+  for (int r = 0; r < kRequests; ++r) {
+    // About 250 windows each: tens of batches of 4.
+    series[static_cast<size_t>(r)].resize(2000 + 37 * static_cast<size_t>(r));
+    for (auto& v : series[static_cast<size_t>(r)]) {
+      v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    }
+    futures.push_back(service.Submit("kettle", series[static_cast<size_t>(r)]));
+  }
+  ASSERT_EQ(service.queue_depth(), kRequests);
+  release.store(true);
+  ASSERT_TRUE(plug_future.get().ok());
+
+  std::vector<serve::ScanResult> results;
+  for (auto& future : futures) {
+    Result<serve::ScanResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results.push_back(std::move(result).value());
+  }
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced_groups, 1);
+  EXPECT_EQ(stats.coalesced_requests, kRequests);
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_GT(results[i].seconds, results[i - 1].seconds)
+        << "request " << i << " resolved together with request " << i - 1;
+  }
+  service.Shutdown();
+
+  serve::BatchRunner sequential(&ensemble, runner);
+  for (int r = 0; r < kRequests; ++r) {
+    const serve::ScanResult want =
+        sequential.Scan(series[static_cast<size_t>(r)]);
+    EXPECT_EQ(results[static_cast<size_t>(r)].windows, want.windows);
+    ExpectBitwiseEqual(results[static_cast<size_t>(r)], want,
+                       "request " + std::to_string(r));
+  }
+}
+
+TEST(ServiceTest, AppendDeliveredMidPassHandsOffTheSession) {
+  // Two workers, both parked on plug requests. Behind them queue a
+  // session append A1 and a long one-shot; A2, the session's next append,
+  // parks on the session. Releasing the first plug lets its worker serve
+  // [A1, long] as one group: A1 is delivered after its first batches and
+  // hands A2 to the queue, where the second worker (released once A1
+  // resolves) serves it while the first worker's pass is still running.
+  // The first pass never touches the session again after delivering A1,
+  // so both appends must equal from-scratch scans bitwise.
+  core::CamalEnsemble ensemble = RandomEnsemble(87);
+  std::atomic<bool> release_first{false};
+  std::atomic<bool> release_second{false};
+  FaultInjector injector;
+  injector.set_scan_hook([&](const std::string& household) {
+    std::atomic<bool>* gate = household == "plug1"   ? &release_first
+                              : household == "plug2" ? &release_second
+                                                     : nullptr;
+    if (gate == nullptr) return;
+    while (!gate->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  serve::ServiceOptions service_opt;
+  service_opt.workers = 2;
+  service_opt.queue_capacity = 0;
+  service_opt.coalesce_budget = 8;
+  service_opt.fault_injector = &injector;
+  serve::Service service(service_opt);
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 1000.0f);
+  ASSERT_TRUE(service.RegisterAppliance("kettle", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());
+
+  Rng rng(88);
+  const auto random_series = [&rng](int64_t len) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    return series;
+  };
+  std::shared_ptr<serve::Session> session =
+      service.CreateSession("kettle").value();
+  std::vector<float> concatenated = random_series(40);
+  ASSERT_TRUE(session->AppendReadings(concatenated).get().ok());
+
+  std::vector<std::future<Result<serve::ScanResult>>> plugs;
+  for (const char* id : {"plug1", "plug2"}) {
+    serve::ScanRequest plug;
+    plug.household_id = id;
+    plug.appliance = "kettle";
+    plug.owned_series = std::vector<float>(64, 500.0f);
+    plugs.push_back(service.Submit(std::move(plug)));
+    while (service.queue_depth() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const std::vector<float> delta1 = random_series(12);
+  const std::vector<float> delta2 = random_series(9);
+  const std::vector<float> long_series = random_series(20000);
+  std::future<Result<serve::ScanResult>> first =
+      session->AppendReadings(delta1);
+  std::future<Result<serve::ScanResult>> long_scan =
+      service.Submit("kettle", long_series);
+  std::future<Result<serve::ScanResult>> second =
+      session->AppendReadings(delta2);
+  ASSERT_EQ(service.queue_depth(), 2);  // A2 is parked on the session
+
+  release_first.store(true);
+  Result<serve::ScanResult> first_result = first.get();
+  ASSERT_TRUE(first_result.ok()) << first_result.status().ToString();
+  release_second.store(true);
+  Result<serve::ScanResult> second_result = second.get();
+  ASSERT_TRUE(second_result.ok()) << second_result.status().ToString();
+  EXPECT_EQ(long_scan.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the first worker's pass ended before the handed-off append was "
+         "served";
+  Result<serve::ScanResult> long_result = long_scan.get();
+  ASSERT_TRUE(long_result.ok());
+  for (auto& plug : plugs) ASSERT_TRUE(plug.get().ok());
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced_groups, 1);  // [A1, long]
+  EXPECT_EQ(stats.session_appends, 3);
+  EXPECT_EQ(stats.failed, 0);
+  service.Shutdown();
+
+  serve::BatchRunner sequential(&ensemble, runner);
+  concatenated.insert(concatenated.end(), delta1.begin(), delta1.end());
+  ExpectBitwiseEqual(first_result.value(), sequential.Scan(concatenated),
+                     "first append");
+  concatenated.insert(concatenated.end(), delta2.begin(), delta2.end());
+  ExpectBitwiseEqual(second_result.value(), sequential.Scan(concatenated),
+                     "second append");
+  ExpectBitwiseEqual(long_result.value(), sequential.Scan(long_series),
+                     "long one-shot");
 }
 
 TEST(ServiceTest, AppendAfterCloseFailsWithFailedPrecondition) {
